@@ -15,9 +15,10 @@
 //     parameters and loss values to K = 1 — the contract that makes shard
 //     count a deployment knob instead of a science decision.
 //
-// OpenMP is pinned to 1 thread for the whole run: the engine's worker
-// threads are the parallelism under test, and nested OpenMP teams inside
-// them would only add scheduling noise.
+// Runs in the default environment: the replicas are chunks of one
+// common::ParallelFor on the process's thread budget, and the kernels
+// inside a replica run inline, so the replica fan-out is the parallelism
+// under test.
 //
 // Build & run:
 //   cmake -B build -S . && cmake --build build -j --target bench_pretrain
@@ -29,10 +30,6 @@
 #include <memory>
 #include <thread>
 #include <vector>
-
-#ifdef _OPENMP
-#include <omp.h>
-#endif
 
 #include "common/rng.h"
 #include "common/stopwatch.h"
@@ -221,9 +218,6 @@ double BestOf2(const std::function<double()>& run) {
 }  // namespace
 
 int main() {
-#ifdef _OPENMP
-  omp_set_num_threads(1);  // the shard workers ARE the parallelism measured
-#endif
   World w = BuildWorld();
   {
     std::vector<std::vector<int64_t>> seqs;

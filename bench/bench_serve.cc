@@ -29,9 +29,10 @@
 //     the AVX2 qgemm backend (never slower anywhere), mean cosine
 //     >= 0.999, snapshot at most half the checkpoint.
 //
-// OpenMP is pinned to 1 thread so every number isolates the serving-plane
-// mechanics (worker threads, coalescing, frozen-path savings) instead of
-// kernel-internal parallelism.
+// Runs in the default environment: kernels at serving batch sizes stay
+// below the common::ParallelFor grain and run serially on the worker that
+// calls them, so the numbers measure the serving-plane mechanics (worker
+// threads, coalescing, frozen-path savings).
 //
 // Build & run:
 //   cmake -B build -S . && cmake --build build -j --target bench_serve
@@ -44,10 +45,6 @@
 #include <memory>
 #include <thread>
 #include <vector>
-
-#ifdef _OPENMP
-#include <omp.h>
-#endif
 
 #include "common/rng.h"
 #include "common/stopwatch.h"
@@ -438,9 +435,6 @@ QuantResults MeasureQuantized(const World& w) {
 }  // namespace
 
 int main() {
-#ifdef _OPENMP
-  omp_set_num_threads(1);  // isolate serving-plane mechanics (see header)
-#endif
   const World w = BuildWorld();
   std::printf("corpus: %zu trajectories over %ld road segments\n",
               w.corpus.size(), w.net->num_segments());

@@ -1,7 +1,11 @@
 // Microbenchmark for the elementwise kernel engine: broadcast and same-shape
 // ops at transformer-pretraining shapes [B=64, T=128, D=256], against a
-// faithful reimplementation of the seed's scalar div/mod broadcast loop.
-// Emits BENCH_tensor.json so CI tracks the kernel perf trajectory.
+// faithful reimplementation of the seed's scalar div/mod broadcast loop, and
+// per-head attention BMMs over strided slices against a scalar loop over
+// copied slices. Each kernel is also timed at thread budgets 1, 2 and 4
+// (common::ScopedThreadBudget); the run fails if a row is slower at budget 4
+// than at budget 1. Emits BENCH_tensor.json so CI tracks the kernel
+// perf trajectory.
 //
 // Build & run:
 //   cmake -B build -S . && cmake --build build -j --target bench_tensor_kernels
@@ -11,8 +15,10 @@
 #include <cstdio>
 #include <cstdlib>
 #include <string>
+#include <utility>
 #include <vector>
 
+#include "common/parallel_for.h"
 #include "common/rng.h"
 #include "common/stopwatch.h"
 #include "tensor/kernels.h"
@@ -22,12 +28,16 @@
 namespace {
 
 using start::common::Rng;
+using start::common::ScopedThreadBudget;
 using start::common::Stopwatch;
 using start::tensor::NoGradGuard;
 using start::tensor::Shape;
 using start::tensor::Tensor;
 
 constexpr int64_t kB = 64, kT = 128, kD = 256;
+
+/// Thread budgets each row's kernel is timed at.
+constexpr int kBudgets[] = {1, 2, 4};
 
 /// The seed's broadcast indexing: per output element, a div/mod walk over the
 /// padded dims recovers each input's flat index. Kept verbatim as the
@@ -87,9 +97,10 @@ void ScalarBroadcastAdd(const ScalarBroadcastMap& map, const float* pa,
 
 struct BenchResult {
   std::string name;
-  double scalar_ms = 0.0;  // seed loop (0 when no scalar baseline applies)
-  double kernel_ms = 0.0;
+  double scalar_ms = 0.0;  // scalar reference loop
+  double kernel_ms = 0.0;  // at the ambient thread budget
   double speedup = 0.0;
+  std::vector<std::pair<int, double>> budget_ms;  // (budget, median ms)
 };
 
 /// Median-of-`iters` wall time of `fn` in milliseconds.
@@ -104,6 +115,16 @@ double TimeMs(int iters, Fn fn) {
   }
   std::sort(samples.begin(), samples.end());
   return samples[samples.size() / 2];
+}
+
+/// Times `kernel` at the ambient thread budget and at each of kBudgets.
+template <typename Fn>
+void TimeKernel(int iters, Fn kernel, BenchResult* r) {
+  r->kernel_ms = TimeMs(iters, kernel);
+  for (const int budget : kBudgets) {
+    ScopedThreadBudget scoped(budget);
+    r->budget_ms.emplace_back(budget, TimeMs(iters, kernel));
+  }
 }
 
 BenchResult BenchBroadcast(const char* name, const Shape& sa, const Shape& sb,
@@ -121,7 +142,7 @@ BenchResult BenchBroadcast(const char* name, const Shape& sa, const Shape& sb,
   });
   NoGradGuard no_grad;
   Tensor sink;  // keep the result alive so the write isn't elided
-  r.kernel_ms = TimeMs(iters, [&] { sink = start::tensor::Add(a, b); });
+  TimeKernel(iters, [&] { sink = start::tensor::Add(a, b); }, &r);
   // Cross-check: both paths must agree elementwise.
   for (int64_t i = 0; i < map.numel; ++i) {
     const float diff = scalar_out[static_cast<size_t>(i)] - sink.data()[i];
@@ -135,24 +156,72 @@ BenchResult BenchBroadcast(const char* name, const Shape& sa, const Shape& sb,
   return r;
 }
 
+/// Scalar reference for one head's scores: copy the strided head slices
+/// into dense buffers, then a naive dot per output.
+void ScalarHeadScores(const Tensor& q, const Tensor& k, int64_t h, int64_t hd,
+                      std::vector<float>* qs, std::vector<float>* ks,
+                      float* out) {
+  const int64_t b = q.dim(0), t = q.dim(1), d = q.dim(2);
+  for (int64_t i = 0; i < b * t; ++i) {
+    for (int64_t j = 0; j < hd; ++j) {
+      (*qs)[static_cast<size_t>(i * hd + j)] = q.data()[i * d + h * hd + j];
+      (*ks)[static_cast<size_t>(i * hd + j)] = k.data()[i * d + h * hd + j];
+    }
+  }
+  for (int64_t bi = 0; bi < b; ++bi) {
+    const float* qb = qs->data() + bi * t * hd;
+    const float* kb = ks->data() + bi * t * hd;
+    for (int64_t i = 0; i < t; ++i) {
+      for (int64_t j = 0; j < t; ++j) {
+        float acc = 0.0f;
+        for (int64_t p = 0; p < hd; ++p) acc += qb[i * hd + p] * kb[j * hd + p];
+        out[(bi * t + i) * t + j] = acc;
+      }
+    }
+  }
+}
+
 BenchResult BenchView(const char* name, int iters) {
   // Attention-style strided consumption: per-head slice into BMM.
   Rng rng(7);
-  const int64_t heads = 8, hd = kD / heads;
-  const Tensor q = Tensor::Rand(Shape({8, kT, kD}), &rng, -1, 1);
-  const Tensor k = Tensor::Rand(Shape({8, kT, kD}), &rng, -1, 1);
-  NoGradGuard no_grad;
+  const int64_t batch = 8, heads = 8, hd = kD / heads;
+  const Tensor q = Tensor::Rand(Shape({batch, kT, kD}), &rng, -1, 1);
+  const Tensor k = Tensor::Rand(Shape({batch, kT, kD}), &rng, -1, 1);
+  std::vector<float> qs(static_cast<size_t>(batch * kT * hd));
+  std::vector<float> ks(qs.size());
+  std::vector<float> scalar_out(static_cast<size_t>(heads * batch * kT * kT));
   BenchResult r;
   r.name = name;
-  Tensor sink;
-  r.kernel_ms = TimeMs(iters, [&] {
+  r.scalar_ms = TimeMs(iters, [&] {
+    for (int64_t h = 0; h < heads; ++h) {
+      ScalarHeadScores(q, k, h, hd, &qs, &ks,
+                       scalar_out.data() + h * batch * kT * kT);
+    }
+  });
+  NoGradGuard no_grad;
+  std::vector<Tensor> sinks(static_cast<size_t>(heads));
+  TimeKernel(iters, [&] {
     for (int64_t h = 0; h < heads; ++h) {
       const Tensor qh = start::tensor::Slice(q, 2, h * hd, hd);
       const Tensor kh = start::tensor::Slice(k, 2, h * hd, hd);
-      sink = start::tensor::BatchMatMul(qh, kh, /*transpose_b=*/true);
+      sinks[static_cast<size_t>(h)] =
+          start::tensor::BatchMatMul(qh, kh, /*transpose_b=*/true);
     }
-  });
-  r.speedup = 0.0;
+  }, &r);
+  // Cross-check: both paths must agree elementwise.
+  for (int64_t h = 0; h < heads; ++h) {
+    const float* got = sinks[static_cast<size_t>(h)].data();
+    const float* want = scalar_out.data() + h * batch * kT * kT;
+    for (int64_t i = 0; i < batch * kT * kT; ++i) {
+      const float diff = got[i] - want[i];
+      if (diff > 1e-4f || diff < -1e-4f) {
+        std::fprintf(stderr, "MISMATCH in %s at head %lld index %lld\n", name,
+                     static_cast<long long>(h), static_cast<long long>(i));
+        std::exit(1);
+      }
+    }
+  }
+  r.speedup = r.scalar_ms / r.kernel_ms;
   return r;
 }
 
@@ -170,7 +239,7 @@ int main() {
   results.push_back(BenchBroadcast("add_same_shape_B64_T128_D256",
                                    Shape({kB, kT, kD}), Shape({kB, kT, kD}),
                                    9));
-  results.push_back(BenchView("bmm_head_slices_B8_T128_D256", 5));
+  results.push_back(BenchView("bmm_head_slices_B8_T128_D256", 9));
 
   std::FILE* json = std::fopen("BENCH_tensor.json", "w");
   if (json == nullptr) {
@@ -184,22 +253,36 @@ int main() {
                 r.name.c_str(), r.scalar_ms, r.kernel_ms, r.speedup);
     std::fprintf(json,
                  "    {\"name\": \"%s\", \"scalar_ms\": %.4f, "
-                 "\"kernel_ms\": %.4f, \"speedup\": %.3f}%s\n",
-                 r.name.c_str(), r.scalar_ms, r.kernel_ms, r.speedup,
-                 i + 1 < results.size() ? "," : "");
+                 "\"kernel_ms\": %.4f, \"speedup\": %.3f",
+                 r.name.c_str(), r.scalar_ms, r.kernel_ms, r.speedup);
+    for (size_t j = 0; j < r.budget_ms.size(); ++j) {
+      const auto& [budget, ms] = r.budget_ms[j];
+      std::printf("%-36s   budget %d %8.3f ms\n", "", budget, ms);
+      std::fprintf(json, "%s\"%d\": %.4f",
+                   j == 0 ? ", \"budget_ms\": {" : ", ", budget, ms);
+    }
+    std::fprintf(json, "}}%s\n", i + 1 < results.size() ? "," : "");
   }
   std::fprintf(json, "  ]\n}\n");
   std::fclose(json);
   std::printf("wrote BENCH_tensor.json\n");
 
-  // Acceptance gate: broadcast elementwise must beat the seed scalar loop 2x.
+  // Acceptance gates: broadcast elementwise must beat the seed scalar loop
+  // 2x, and no row may get slower when the budget grows from 1 to 4 threads.
+  int status = 0;
   for (const auto& r : results) {
-    if (r.scalar_ms > 0.0 && r.name.find("broadcast") != std::string::npos &&
-        r.speedup < 2.0) {
+    if (r.name.find("broadcast") != std::string::npos && r.speedup < 2.0) {
       std::fprintf(stderr, "FAIL: %s speedup %.2fx < 2x\n", r.name.c_str(),
                    r.speedup);
-      return 1;
+      status = 1;
+    }
+    if (r.budget_ms.back().second > r.budget_ms.front().second) {
+      std::fprintf(stderr, "FAIL: %s budget %d %.3f ms > budget %d %.3f ms\n",
+                   r.name.c_str(), r.budget_ms.back().first,
+                   r.budget_ms.back().second, r.budget_ms.front().first,
+                   r.budget_ms.front().second);
+      status = 1;
     }
   }
-  return 0;
+  return status;
 }

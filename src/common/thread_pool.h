@@ -11,49 +11,15 @@
 
 namespace start::common {
 
-/// \brief Count-down join latch for fan-out/fan-in over a ThreadPool.
-///
-/// The pool has no join primitive by design (tasks are fire-and-forget);
-/// callers that submit a batch and need all of it finished — the sharded
-/// trainer's per-replica phases, the all-reduce's per-parameter fan-out —
-/// pair each task with `CountDown()` and block on `Wait()`. One-shot:
-/// create a fresh latch per batch.
-class Latch {
- public:
-  explicit Latch(int count) : remaining_(count) {}
-
-  Latch(const Latch&) = delete;
-  Latch& operator=(const Latch&) = delete;
-
-  /// Signals one task done. The counter is decremented (and the last waiter
-  /// notified) under the lock, so a waiter that wakes and destroys the
-  /// latch cannot race the signaling thread.
-  void CountDown() {
-    std::lock_guard<std::mutex> lock(mu_);
-    if (--remaining_ == 0) cv_.notify_all();
-  }
-
-  /// Blocks until CountDown() has been called `count` times.
-  void Wait() {
-    std::unique_lock<std::mutex> lock(mu_);
-    cv_.wait(lock, [this] { return remaining_ == 0; });
-  }
-
- private:
-  std::mutex mu_;
-  std::condition_variable cv_;
-  int remaining_;
-};
-
 /// \brief Fixed-size worker pool with a FIFO task queue.
 ///
-/// Shared infrastructure for everything that needs background threads: the
-/// async data loader runs its augmentation workers on one, and future serving
-/// work (request fan-out, shard queries) is expected to reuse it. Tasks are
-/// plain `std::function<void()>`; long-running tasks (e.g. a loader worker
-/// loop) are fine as long as they observe their own stop signal — the pool
-/// only guarantees that the destructor waits for every submitted task to
-/// finish.
+/// Hosts long-lived blocking loops only: the EmbeddingService workers, the
+/// StreamPipeline stages and the BatchLoader's augmentation workers. Compute
+/// fan-out does not belong here; it goes through common::ParallelFor, whose
+/// one executor is the process's CPU budget. Tasks are plain
+/// `std::function<void()>`; long-running tasks are fine as long as they
+/// observe their own stop signal — the pool only guarantees that the
+/// destructor waits for every submitted task to finish.
 ///
 /// Threading contract:
 ///  - `Submit` may be called from any thread, including from inside a task.

@@ -5,6 +5,7 @@
 #include <utility>
 
 #include "common/check.h"
+#include "common/parallel_for.h"
 #include "data/batch.h"
 #include "nn/allreduce.h"
 #include "nn/losses.h"
@@ -128,9 +129,6 @@ ParallelTrainer::ParallelTrainer(StartModel* model, const ShardConfig& config)
     m->SetTraining(true);
     m->SetDropoutRng(&rngs_[static_cast<size_t>(r)]);
   }
-  if (config_.num_shards > 1) {
-    pool_ = std::make_unique<common::ThreadPool>(config_.num_shards);
-  }
 }
 
 ParallelTrainer::~ParallelTrainer() {
@@ -144,19 +142,10 @@ StartModel* ParallelTrainer::ReplicaModel(int r) const {
 }
 
 void ParallelTrainer::RunOnReplicas(const std::function<void(int)>& fn) {
-  const int k = config_.num_shards;
-  if (pool_ == nullptr) {
-    for (int r = 0; r < k; ++r) fn(r);
-    return;
-  }
-  common::Latch latch(k);
-  for (int r = 0; r < k; ++r) {
-    pool_->Submit([&, r] {
-      fn(r);
-      latch.CountDown();
-    });
-  }
-  latch.Wait();
+  // One chunk per replica; the kernels inside a replica's chunk run inline.
+  common::ParallelFor(0, config_.num_shards, 1, [&fn](int64_t lo, int64_t hi) {
+    for (int64_t r = lo; r < hi; ++r) fn(static_cast<int>(r));
+  });
 }
 
 void ParallelTrainer::SyncReplicas() {
@@ -385,7 +374,7 @@ ShardStepStats ParallelTrainer::Step(
       shards.push_back(std::move(g.grads));
       proxy_slots.push_back(std::move(g.proxy_grad));
     }
-    nn::TreeReduceInto(std::move(shards), opt->params(), pool_.get());
+    nn::TreeReduceInto(std::move(shards), opt->params());
     const auto reps_grad = nn::TreeReduce(std::move(proxy_slots));
     if (reps_grad != nullptr) {
       // Stage-1 backward, once, serially, from the combined road-reps

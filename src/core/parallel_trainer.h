@@ -6,7 +6,6 @@
 #include <vector>
 
 #include "common/rng.h"
-#include "common/thread_pool.h"
 #include "core/start_model.h"
 #include "data/loader.h"
 #include "nn/optimizer.h"
@@ -18,7 +17,7 @@ namespace start::core {
 /// One optimizer step consumes a group of `accum_steps` micro-batches from
 /// the loader, decomposes them into fixed-size *micro-shards* ("grains" of
 /// `shard_grain` trajectories), fans the grains out across `num_shards` model
-/// replicas running on a common::ThreadPool, and combines their gradients
+/// replicas (one common::ParallelFor chunk each), and combines their gradients
 /// with the deterministic fixed-order tree all-reduce of nn/allreduce.h
 /// before one fused AdamW update on the primary model.
 ///
@@ -65,7 +64,8 @@ namespace start::core {
 /// model instances; phases are separated by joins, so no tensor is read and
 /// written concurrently. The TSan CI job runs the sharded step.
 struct ShardConfig {
-  /// Model replicas (worker threads). Pure scheduling: any value yields
+  /// Model replicas, run concurrently up to the common::ParallelFor thread
+  /// budget. Pure scheduling: any value yields
   /// bitwise-identical training. 1 runs the grain set inline.
   int num_shards = 1;
   /// Trajectories per micro-shard; 0 = one grain per micro-batch (no intra-
@@ -129,7 +129,7 @@ class ParallelTrainer {
   struct Grain;
 
   StartModel* ReplicaModel(int r) const;
-  /// Runs fn(r) for every replica, on the pool when num_shards > 1.
+  /// Runs fn(r) for every replica, one executor chunk per replica.
   void RunOnReplicas(const std::function<void(int)>& fn);
 
   ShardConfig config_;
@@ -140,7 +140,6 @@ class ParallelTrainer {
   std::vector<common::Rng> rngs_;
   /// Per-replica parameter handles in registry order (index 0 = primary).
   std::vector<std::vector<tensor::Tensor>> replica_params_;
-  std::unique_ptr<common::ThreadPool> pool_;
 };
 
 }  // namespace start::core

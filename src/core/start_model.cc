@@ -3,6 +3,7 @@
 #include <cmath>
 
 #include "common/check.h"
+#include "common/parallel_for.h"
 #include "nn/init.h"
 #include "tensor/ops.h"
 
@@ -93,29 +94,33 @@ Tensor StartModel::BuildScoreBias(const data::Batch& batch) const {
   // CLS rows/columns use δ = 0 (full view of the sequence); padded positions
   // are already excluded by the padding bias.
   std::vector<float> dprime(static_cast<size_t>(b * l1 * l1));
-  for (int64_t s = 0; s < b; ++s) {
-    const double* times = batch.times.data() + s * batch.max_len;
-    float* base = dprime.data() + s * l1 * l1;
-    for (int64_t i = 0; i < l1; ++i) {
-      for (int64_t j = 0; j < l1; ++j) {
-        double delta;
-        if (i == 0 || j == 0) {
-          delta = 0.0;
-        } else if (config_.interval_use_hops) {
-          delta = static_cast<double>(std::llabs(i - j));  // "w/ Hop"
-        } else {
-          delta = std::fabs(times[i - 1] - times[j - 1]);
+  const auto samples = [&](int64_t lo, int64_t hi) {
+    for (int64_t s = lo; s < hi; ++s) {
+      const double* times = batch.times.data() + s * batch.max_len;
+      float* base = dprime.data() + s * l1 * l1;
+      for (int64_t i = 0; i < l1; ++i) {
+        for (int64_t j = 0; j < l1; ++j) {
+          double delta;
+          if (i == 0 || j == 0) {
+            delta = 0.0;
+          } else if (config_.interval_use_hops) {
+            delta = static_cast<double>(std::llabs(i - j));  // "w/ Hop"
+          } else {
+            delta = std::fabs(times[i - 1] - times[j - 1]);
+          }
+          double dp;
+          if (config_.interval_use_log) {
+            dp = 1.0 / std::log(M_E + delta);
+          } else {
+            dp = 1.0 / std::max(1.0, delta);  // "w/o Log" variant
+          }
+          base[i * l1 + j] = static_cast<float>(dp);
         }
-        double dp;
-        if (config_.interval_use_log) {
-          dp = 1.0 / std::log(M_E + delta);
-        } else {
-          dp = 1.0 / std::max(1.0, delta);  // "w/o Log" variant
-        }
-        base[i * l1 + j] = static_cast<float>(dp);
       }
     }
-  }
+  };
+  // Samples fill disjoint blocks; a log per entry is ~16 multiply-adds.
+  common::ParallelFor(0, b, common::GrainFor(16 * l1 * l1), samples);
   Tensor dprime_t =
       Tensor::FromVector(Shape({b * l1 * l1, 1}), std::move(dprime));
   Tensor delta_tilde;

@@ -5,6 +5,7 @@
 #include <numeric>
 
 #include "common/check.h"
+#include "common/parallel_for.h"
 #include "data/dataset.h"
 #include "data/view.h"
 
@@ -22,8 +23,8 @@ std::vector<float> EmbedAllWith(
     int64_t dim, const std::vector<traj::Trajectory>& trajs,
     int64_t batch_size,
     const std::function<
-        tensor::Tensor(const std::vector<const traj::Trajectory*>&)>&
-        encode) {
+        tensor::Tensor(const std::vector<const traj::Trajectory*>&)>& encode,
+    bool concurrent) {
   START_CHECK_GT(batch_size, 0);
   const int64_t n = static_cast<int64_t>(trajs.size());
   std::vector<float> out(static_cast<size_t>(n * dim));
@@ -34,23 +35,34 @@ std::vector<float> EmbedAllWith(
   std::iota(order.begin(), order.end(), 0);
   const auto plan = data::BucketBatchPlan(data::Lengths(trajs), order,
                                           batch_size, kEmbedBucketWidth);
-  std::vector<const traj::Trajectory*> batch;  // reused across batches
-  batch.reserve(static_cast<size_t>(batch_size));
-  for (const auto& step : plan) {
-    batch.clear();
-    for (const int64_t i : step) {
-      batch.push_back(&trajs[static_cast<size_t>(i)]);
+  const auto steps = [&](int64_t lo, int64_t hi) {
+    std::vector<const traj::Trajectory*> batch;  // reused across batches
+    batch.reserve(static_cast<size_t>(batch_size));
+    for (int64_t s = lo; s < hi; ++s) {
+      const auto& step = plan[static_cast<size_t>(s)];
+      batch.clear();
+      for (const int64_t i : step) {
+        batch.push_back(&trajs[static_cast<size_t>(i)]);
+      }
+      // `encode` may hand back a zero-copy view (e.g. the cls-token slice);
+      // compact it once here for the flat output buffer.
+      const tensor::Tensor reps = encode(batch).Contiguous();
+      START_CHECK_EQ(reps.dim(0), static_cast<int64_t>(step.size()));
+      START_CHECK_EQ(reps.dim(1), dim);
+      for (size_t r = 0; r < step.size(); ++r) {
+        std::memcpy(out.data() + step[r] * dim,
+                    reps.data() + static_cast<int64_t>(r) * dim,
+                    static_cast<size_t>(dim) * sizeof(float));
+      }
     }
-    // `encode` may hand back a zero-copy view (e.g. the cls-token slice);
-    // compact it once here for the flat output buffer.
-    const tensor::Tensor reps = encode(batch).Contiguous();
-    START_CHECK_EQ(reps.dim(0), static_cast<int64_t>(step.size()));
-    START_CHECK_EQ(reps.dim(1), dim);
-    for (size_t r = 0; r < step.size(); ++r) {
-      std::memcpy(out.data() + step[r] * dim,
-                  reps.data() + static_cast<int64_t>(r) * dim,
-                  static_cast<size_t>(dim) * sizeof(float));
-    }
+  };
+  const int64_t num_steps = static_cast<int64_t>(plan.size());
+  if (concurrent) {
+    // One chunk per batch (each is far above the minimum chunk work); the
+    // kernels inside a batch then run inline.
+    common::ParallelFor(0, num_steps, 1, steps);
+  } else {
+    steps(0, num_steps);
   }
   return out;
 }

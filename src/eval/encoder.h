@@ -115,11 +115,15 @@ inline data::Batch MakeModeBatch(
 /// (must return dense-compactable [B, dim] rows), and scatters rows back to
 /// corpus positions. Keeping this in one place means the eval harness and
 /// serve::FrozenEncoder cannot drift apart in how a corpus is embedded.
+/// `concurrent` declares `encode` safe to call from several threads at once
+/// (the frozen engine's is; a trainable encoder's is not): batches then run
+/// as common::ParallelFor chunks, which changes no row.
 std::vector<float> EmbedAllWith(
     int64_t dim, const std::vector<traj::Trajectory>& trajs,
     int64_t batch_size,
     const std::function<
-        tensor::Tensor(const std::vector<const traj::Trajectory*>&)>& encode);
+        tensor::Tensor(const std::vector<const traj::Trajectory*>&)>& encode,
+    bool concurrent = false);
 
 }  // namespace start::eval
 

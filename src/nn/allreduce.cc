@@ -3,6 +3,7 @@
 #include <utility>
 
 #include "common/check.h"
+#include "common/parallel_for.h"
 
 namespace start::nn {
 
@@ -40,8 +41,7 @@ std::shared_ptr<std::vector<float>> TreeReduce(
 }
 
 void TreeReduceInto(std::vector<GradShard> shards,
-                    const std::vector<tensor::Tensor>& params,
-                    common::ThreadPool* pool) {
+                    const std::vector<tensor::Tensor>& params) {
   const size_t num_params = params.size();
   for (const auto& shard : shards) {
     START_CHECK_EQ(shard.size(), num_params);
@@ -62,20 +62,17 @@ void TreeReduceInto(std::vector<GradShard> shards,
     for (int64_t e = 0; e < param.numel(); ++e) g[e] += c[e];
   };
 
-  if (pool == nullptr || num_params < 2) {
-    for (size_t p = 0; p < num_params; ++p) reduce_param(p);
-    return;
-  }
-  // One task per parameter; each parameter's tree is self-contained, so the
-  // fan-out affects wall clock only.
-  common::Latch latch(static_cast<int>(num_params));
-  for (size_t p = 0; p < num_params; ++p) {
-    pool->Submit([&, p] {
-      reduce_param(p);
-      latch.CountDown();
-    });
-  }
-  latch.Wait();
+  // Each parameter's tree is self-contained, so the fan-out affects wall
+  // clock only; the grain comes from the mean work per parameter.
+  const int64_t n = static_cast<int64_t>(num_params);
+  int64_t work = 0;
+  for (const auto& param : params) work += param.numel();
+  work *= static_cast<int64_t>(shards.size());
+  const auto reduce_params = [&](int64_t lo, int64_t hi) {
+    for (int64_t p = lo; p < hi; ++p) reduce_param(static_cast<size_t>(p));
+  };
+  common::ParallelFor(0, n, common::GrainFor(n == 0 ? 0 : work / n),
+                      reduce_params);
 }
 
 }  // namespace start::nn

@@ -4,7 +4,6 @@
 #include <memory>
 #include <vector>
 
-#include "common/thread_pool.h"
 #include "tensor/tensor.h"
 
 namespace start::nn {
@@ -45,12 +44,11 @@ std::shared_ptr<std::vector<float>> TreeReduce(
 /// Tree-reduces `shards` per parameter and accumulates each combined buffer
 /// into the parameter's gradient (which the caller must have allocated and
 /// zeroed, e.g. via Optimizer::ZeroGrad). Per-parameter reductions are
-/// independent, so they are fanned out over `pool` when one is given —
+/// independent, so they are fanned out with common::ParallelFor —
 /// scheduling cannot change any sum's association order, only who computes
 /// it. Shard buffers are consumed.
 void TreeReduceInto(std::vector<GradShard> shards,
-                    const std::vector<tensor::Tensor>& params,
-                    common::ThreadPool* pool = nullptr);
+                    const std::vector<tensor::Tensor>& params);
 
 }  // namespace start::nn
 

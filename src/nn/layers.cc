@@ -4,6 +4,7 @@
 
 #include "common/check.h"
 #include "nn/init.h"
+#include "tensor/buffer_pool.h"
 
 namespace start::nn {
 
@@ -36,7 +37,12 @@ Tensor Linear::Forward(const Tensor& x) const {
     // Frozen int8 path: quantize activations per row, integer GEMM against
     // the packed weight, dequant + bias in one epilogue.
     const Tensor xc = x2.is_contiguous() ? x2 : x2.Contiguous();
-    y = Tensor::Zeros(Shape({x2.dim(0), out_features_}));
+    // AffineForward writes every element (bias or zero, then the GEMM), so
+    // the output needs no zero-fill.
+    y = tensor::MakeOpResultBuffer(
+        Shape({x2.dim(0), out_features_}),
+        tensor::AcquireBuffer(x2.dim(0) * out_features_), {}, nullptr,
+        "linear_int8");
     tensor::qgemm::AffineForward(xc.data(), in_features_, x2.dim(0), *packed_,
                                  bias_.defined() ? bias_.data() : nullptr,
                                  y.data(), out_features_);

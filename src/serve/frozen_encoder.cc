@@ -267,12 +267,14 @@ std::vector<float> FrozenEncoder::EmbedAll(
     const std::vector<traj::Trajectory>& trajs, eval::EncodeMode mode,
     int64_t batch_size) const {
   // Same deterministic bucketed loop as the eval harness, running on the
-  // frozen engine.
+  // frozen engine; EncodeBatch is const and thread-safe, so batches run
+  // concurrently.
   return eval::EmbedAllWith(
       dim(), trajs, batch_size,
       [&](const std::vector<const traj::Trajectory*>& batch) {
         return EncodeBatch(batch, mode);
-      });
+      },
+      /*concurrent=*/true);
 }
 
 }  // namespace start::serve

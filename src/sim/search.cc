@@ -3,6 +3,7 @@
 #include <algorithm>
 
 #include "common/check.h"
+#include "common/parallel_for.h"
 #include "sim/similarity.h"
 
 namespace start::sim {
@@ -15,10 +16,12 @@ namespace {
 /// resolve exactly as in the scalar path.
 void DistanceRow(const float* query, const float* database,
                  int64_t database_size, int64_t dim, double* row) {
-#pragma omp parallel for if (database_size * dim > (1 << 15))
-  for (int64_t i = 0; i < database_size; ++i) {
-    row[i] = EmbeddingDistance(query, database + i * dim, dim);
-  }
+  const auto items = [&](int64_t lo, int64_t hi) {
+    for (int64_t i = lo; i < hi; ++i) {
+      row[i] = EmbeddingDistance(query, database + i * dim, dim);
+    }
+  };
+  common::ParallelFor(0, database_size, common::GrainFor(dim), items);
 }
 
 /// Rank of `gt` within a distance row plus hit counters (rank = 1 + items

@@ -21,6 +21,11 @@ namespace start::tensor {
 /// recycles the vector into the pool instead of freeing it. The pool is a
 /// leaky singleton, which keeps recycling deleters valid during static
 /// destruction.
+///
+/// Each thread parks a few recently released buffers per size class in its
+/// own cache and serves its next acquires from there without the lock, so
+/// threads allocating at once (replicas of a sharded training step, parallel
+/// chunks) do not serialise on the shared free list.
 class BufferPool {
  public:
   /// Process-wide pool used by all tensor allocations.
@@ -37,7 +42,8 @@ class BufferPool {
   /// last reference drops (adoption path for Tensor::FromVector etc.).
   std::shared_ptr<std::vector<float>> Adopt(std::vector<float> v);
 
-  /// Drops all free buffers (used by tests to get deterministic stats).
+  /// Drops the shared free list and the calling thread's cache (used by
+  /// tests to get deterministic stats).
   void Trim();
 
   struct Stats {
@@ -49,6 +55,8 @@ class BufferPool {
   Stats stats() const;
 
  private:
+  struct ThreadCache;
+
   BufferPool() = default;
   void Release(std::vector<float>* v);
 
@@ -61,7 +69,10 @@ class BufferPool {
   static constexpr uint64_t kMaxFreeBytes = 256ull << 20;  // 256 MB
 
   mutable std::mutex mu_;
+  // Guarded by mu_: the shared free list, the live thread caches (read by
+  // stats()), and the shared list's counters plus those of exited threads.
   std::vector<std::unique_ptr<std::vector<float>>> buckets_[kNumBuckets];
+  std::vector<const ThreadCache*> caches_;
   Stats stats_;
 };
 

@@ -1,6 +1,7 @@
 #include "tensor/kernels.h"
 
 #include "common/check.h"
+#include "common/parallel_for.h"
 #include "tensor/shape.h"
 
 namespace start::tensor::internal {
@@ -59,50 +60,67 @@ ElementwisePlan MakeUnaryPlan(const TensorImpl& a) {
   return plan;
 }
 
+// The GEMMs split rows of C into fixed chunks; each row is a fixed serial
+// fold, so C is bitwise identical at any thread budget.
+
+namespace {
+
+/// GrainFor work of one row of C: k·n multiply-adds plus a fixed cost per
+/// inner loop, which dominates skinny shapes such as [rows, 8] x [8, 1].
+int64_t GemmRowWork(int64_t k, int64_t n) { return k * n + 2 * (k + n); }
+
+}  // namespace
+
 void GemmNN(const float* a, int64_t lda, const float* b, int64_t ldb, float* c,
             int64_t ldc, int64_t m, int64_t k, int64_t n) {
   // ikj ordering: innermost loop is contiguous over both B and C rows.
-#pragma omp parallel for if (m * n * k > (1 << 16))
-  for (int64_t i = 0; i < m; ++i) {
-    float* crow = c + i * ldc;
-    const float* arow = a + i * lda;
-    for (int64_t p = 0; p < k; ++p) {
-      const float av = arow[p];
-      if (av == 0.0f) continue;
-      const float* brow = b + p * ldb;
-      for (int64_t j = 0; j < n; ++j) crow[j] += av * brow[j];
+  const auto rows = [&](int64_t lo, int64_t hi) {
+    for (int64_t i = lo; i < hi; ++i) {
+      float* crow = c + i * ldc;
+      const float* arow = a + i * lda;
+      for (int64_t p = 0; p < k; ++p) {
+        const float av = arow[p];
+        if (av == 0.0f) continue;
+        const float* brow = b + p * ldb;
+        for (int64_t j = 0; j < n; ++j) crow[j] += av * brow[j];
+      }
     }
-  }
+  };
+  common::ParallelFor(0, m, common::GrainFor(GemmRowWork(k, n)), rows);
 }
 
 void GemmNT(const float* a, int64_t lda, const float* b, int64_t ldb, float* c,
             int64_t ldc, int64_t m, int64_t k, int64_t n) {
-#pragma omp parallel for if (m * n * k > (1 << 16))
-  for (int64_t i = 0; i < m; ++i) {
-    float* crow = c + i * ldc;
-    const float* arow = a + i * lda;
-    for (int64_t j = 0; j < n; ++j) {
-      const float* brow = b + j * ldb;
-      float acc = 0.0f;
-      for (int64_t p = 0; p < k; ++p) acc += arow[p] * brow[p];
-      crow[j] += acc;
+  const auto rows = [&](int64_t lo, int64_t hi) {
+    for (int64_t i = lo; i < hi; ++i) {
+      float* crow = c + i * ldc;
+      const float* arow = a + i * lda;
+      for (int64_t j = 0; j < n; ++j) {
+        const float* brow = b + j * ldb;
+        float acc = 0.0f;
+        for (int64_t p = 0; p < k; ++p) acc += arow[p] * brow[p];
+        crow[j] += acc;
+      }
     }
-  }
+  };
+  common::ParallelFor(0, m, common::GrainFor(GemmRowWork(k, n)), rows);
 }
 
 void GemmTN(const float* a, int64_t lda, const float* b, int64_t ldb, float* c,
             int64_t ldc, int64_t m, int64_t k, int64_t n) {
-  // Serial over k; row updates of C are parallelised by chunking rows of C.
-#pragma omp parallel for if (m * n * k > (1 << 16))
-  for (int64_t i = 0; i < m; ++i) {
-    float* crow = c + i * ldc;
-    for (int64_t p = 0; p < k; ++p) {
-      const float av = a[p * lda + i];
-      if (av == 0.0f) continue;
-      const float* brow = b + p * ldb;
-      for (int64_t j = 0; j < n; ++j) crow[j] += av * brow[j];
+  // Serial over k within a row of C.
+  const auto rows = [&](int64_t lo, int64_t hi) {
+    for (int64_t i = lo; i < hi; ++i) {
+      float* crow = c + i * ldc;
+      for (int64_t p = 0; p < k; ++p) {
+        const float av = a[p * lda + i];
+        if (av == 0.0f) continue;
+        const float* brow = b + p * ldb;
+        for (int64_t j = 0; j < n; ++j) crow[j] += av * brow[j];
+      }
     }
-  }
+  };
+  common::ParallelFor(0, m, common::GrainFor(GemmRowWork(k, n)), rows);
 }
 
 float DotF32(const float* a, const float* b, int64_t n) {

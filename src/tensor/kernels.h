@@ -4,6 +4,7 @@
 #include <array>
 #include <cstdint>
 
+#include "common/parallel_for.h"
 #include "tensor/tensor.h"
 
 /// \file
@@ -11,9 +12,12 @@
 ///
 /// Every elementwise op is expressed as a functor instantiated into one of
 /// the kernels below (marian-style). The engine specialises a contiguous
-/// same-shape fast path (single flat loop, OpenMP + SIMD) and otherwise runs
-/// a fixed 4-deep loop nest whose stride arithmetic is hoisted out of the
-/// inner loop — no per-element div/mod index decomposition.
+/// same-shape fast path (single flat SIMD loop) and otherwise runs a row loop
+/// over the first three dims whose stride arithmetic is hoisted out of the
+/// inner loop — no per-element div/mod index decomposition. Forward kernels
+/// and the fast backward paths split their loop into fixed chunks with
+/// common::ParallelFor; every index writes its own output, so results do not
+/// depend on the thread budget.
 ///
 /// Kernels read *data* through each operand's view strides (so strided views
 /// feed ops without materialisation; broadcast dims have stride 0) and write
@@ -24,8 +28,9 @@ namespace start::tensor::internal {
 
 constexpr int kMaxDims = 4;
 
-/// Minimum elements before a kernel goes parallel (OpenMP fork overhead).
-constexpr int64_t kParallelGrain = 1 << 14;
+/// Work of one element of an elementwise kernel, in common::GrainFor units:
+/// the loads and the store cost a few vectorised multiply-adds.
+constexpr int64_t kElementwiseWork = 4;
 
 /// Iteration plan for an elementwise kernel: right-aligned output dims padded
 /// with leading 1s, per-operand data strides (0 on broadcast dims) and dense
@@ -50,33 +55,53 @@ ElementwisePlan MakeUnaryPlan(const TensorImpl& a);
 // Elementwise kernels.
 // ---------------------------------------------------------------------------
 
+/// Runs `fn(lo, hi)` over fixed chunks of [0, n) for a flat loop.
+template <class Fn>
+inline void ParallelElements(int64_t n, const Fn& fn) {
+  common::ParallelFor(0, n, common::GrainFor(kElementwiseWork), fn);
+}
+
+/// Runs `row(i0, i1, i2, r)` for every row r = (i0*d1 + i1)*d2 + i2 of the
+/// plan's first three dims (the inner dim d3 is the row), in fixed chunks of
+/// rows. Counters carry across a chunk, so only its first row divides.
+template <class Row>
+inline void ParallelRows(const ElementwisePlan& p, const Row& row) {
+  const auto& d = p.dims;
+  const auto chunk = [&](int64_t lo, int64_t hi) {
+    int64_t i2 = lo % d[2];
+    int64_t i1 = (lo / d[2]) % d[1];
+    int64_t i0 = lo / (d[2] * d[1]);
+    for (int64_t r = lo; r < hi; ++r) {
+      row(i0, i1, i2, r);
+      if (++i2 < d[2]) continue;
+      i2 = 0;
+      if (++i1 < d[1]) continue;
+      i1 = 0;
+      ++i0;
+    }
+  };
+  common::ParallelFor(0, d[0] * d[1] * d[2],
+                      common::GrainFor(d[3] * kElementwiseWork), chunk);
+}
+
 /// out[i] = f(a[i'], b[i'']) over the broadcast iteration space.
 template <class F>
 inline void BinaryForward(const ElementwisePlan& p, const float* pa,
                           const float* pb, float* out, F f) {
-  const auto& d = p.dims;
   if (p.fast) {
-    const int64_t n = p.numel;
-#pragma omp parallel for simd if (n > kParallelGrain)
-    for (int64_t i = 0; i < n; ++i) out[i] = f(pa[i], pb[i]);
+    ParallelElements(p.numel, [&](int64_t lo, int64_t hi) {
+#pragma omp simd
+      for (int64_t i = lo; i < hi; ++i) out[i] = f(pa[i], pb[i]);
+    });
     return;
   }
-#pragma omp parallel for collapse(2) if (p.numel > kParallelGrain)
-  for (int64_t i0 = 0; i0 < d[0]; ++i0) {
-    for (int64_t i1 = 0; i1 < d[1]; ++i1) {
-      const float* a1 = pa + i0 * p.a[0] + i1 * p.a[1];
-      const float* b1 = pb + i0 * p.b[0] + i1 * p.b[1];
-      float* o1 = out + (i0 * d[1] + i1) * d[2] * d[3];
-      for (int64_t i2 = 0; i2 < d[2]; ++i2) {
-        const float* a2 = a1 + i2 * p.a[2];
-        const float* b2 = b1 + i2 * p.b[2];
-        const int64_t sa = p.a[3], sb = p.b[3];
-        for (int64_t i3 = 0; i3 < d[3]; ++i3) {
-          *o1++ = f(a2[i3 * sa], b2[i3 * sb]);
-        }
-      }
-    }
-  }
+  const int64_t n3 = p.dims[3], sa = p.a[3], sb = p.b[3];
+  ParallelRows(p, [&](int64_t i0, int64_t i1, int64_t i2, int64_t r) {
+    const float* a3 = pa + i0 * p.a[0] + i1 * p.a[1] + i2 * p.a[2];
+    const float* b3 = pb + i0 * p.b[0] + i1 * p.b[1] + i2 * p.b[2];
+    float* o3 = out + r * n3;
+    for (int64_t i3 = 0; i3 < n3; ++i3) o3[i3] = f(a3[i3 * sa], b3[i3 * sb]);
+  });
 }
 
 /// Accumulates d(out)/d(a) and d(out)/d(b) into the dense logical gradient
@@ -88,20 +113,21 @@ inline void BinaryBackward(const ElementwisePlan& p, const float* pa,
                            float* gb, Da da, Db db) {
   const auto& d = p.dims;
   if (p.fast) {
-    const int64_t n = p.numel;
-    if (ga != nullptr && gb != nullptr) {
-#pragma omp parallel for simd if (n > kParallelGrain)
-      for (int64_t i = 0; i < n; ++i) {
-        ga[i] += g[i] * da(pa[i], pb[i]);
-        gb[i] += g[i] * db(pa[i], pb[i]);
+    ParallelElements(p.numel, [&](int64_t lo, int64_t hi) {
+      if (ga != nullptr && gb != nullptr) {
+#pragma omp simd
+        for (int64_t i = lo; i < hi; ++i) {
+          ga[i] += g[i] * da(pa[i], pb[i]);
+          gb[i] += g[i] * db(pa[i], pb[i]);
+        }
+      } else if (ga != nullptr) {
+#pragma omp simd
+        for (int64_t i = lo; i < hi; ++i) ga[i] += g[i] * da(pa[i], pb[i]);
+      } else if (gb != nullptr) {
+#pragma omp simd
+        for (int64_t i = lo; i < hi; ++i) gb[i] += g[i] * db(pa[i], pb[i]);
       }
-    } else if (ga != nullptr) {
-#pragma omp parallel for simd if (n > kParallelGrain)
-      for (int64_t i = 0; i < n; ++i) ga[i] += g[i] * da(pa[i], pb[i]);
-    } else if (gb != nullptr) {
-#pragma omp parallel for simd if (n > kParallelGrain)
-      for (int64_t i = 0; i < n; ++i) gb[i] += g[i] * db(pa[i], pb[i]);
-    }
+    });
     return;
   }
   // Broadcast dims accumulate into a shared grad slot (stride 0), so the
@@ -134,25 +160,19 @@ inline void BinaryBackward(const ElementwisePlan& p, const float* pa,
 template <class F>
 inline void UnaryForward(const ElementwisePlan& p, const float* pa, float* out,
                          F f) {
-  const auto& d = p.dims;
   if (p.fast) {
-    const int64_t n = p.numel;
-#pragma omp parallel for simd if (n > kParallelGrain)
-    for (int64_t i = 0; i < n; ++i) out[i] = f(pa[i]);
+    ParallelElements(p.numel, [&](int64_t lo, int64_t hi) {
+#pragma omp simd
+      for (int64_t i = lo; i < hi; ++i) out[i] = f(pa[i]);
+    });
     return;
   }
-#pragma omp parallel for collapse(2) if (p.numel > kParallelGrain)
-  for (int64_t i0 = 0; i0 < d[0]; ++i0) {
-    for (int64_t i1 = 0; i1 < d[1]; ++i1) {
-      const float* a1 = pa + i0 * p.a[0] + i1 * p.a[1];
-      float* o1 = out + (i0 * d[1] + i1) * d[2] * d[3];
-      for (int64_t i2 = 0; i2 < d[2]; ++i2) {
-        const float* a2 = a1 + i2 * p.a[2];
-        const int64_t sa = p.a[3];
-        for (int64_t i3 = 0; i3 < d[3]; ++i3) *o1++ = f(a2[i3 * sa]);
-      }
-    }
-  }
+  const int64_t n3 = p.dims[3], sa = p.a[3];
+  ParallelRows(p, [&](int64_t i0, int64_t i1, int64_t i2, int64_t r) {
+    const float* a3 = pa + i0 * p.a[0] + i1 * p.a[1] + i2 * p.a[2];
+    float* o3 = out + r * n3;
+    for (int64_t i3 = 0; i3 < n3; ++i3) o3[i3] = f(a3[i3 * sa]);
+  });
 }
 
 /// ga[i] += g[i] * dfn(x[i'], y[i]) — g, y, ga dense; x through data strides.
@@ -161,9 +181,10 @@ inline void UnaryBackward(const ElementwisePlan& p, const float* g,
                           const float* x, const float* y, float* ga, D dfn) {
   const auto& d = p.dims;
   if (p.fast) {
-    const int64_t n = p.numel;
-#pragma omp parallel for simd if (n > kParallelGrain)
-    for (int64_t i = 0; i < n; ++i) ga[i] += g[i] * dfn(x[i], y[i]);
+    ParallelElements(p.numel, [&](int64_t lo, int64_t hi) {
+#pragma omp simd
+      for (int64_t i = lo; i < hi; ++i) ga[i] += g[i] * dfn(x[i], y[i]);
+    });
     return;
   }
   int64_t flat = 0;

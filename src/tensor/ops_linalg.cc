@@ -1,5 +1,6 @@
 #include <cstring>
 
+#include "common/parallel_for.h"
 #include "tensor/kernels.h"
 #include "tensor/ops.h"
 
@@ -124,16 +125,21 @@ Tensor BatchMatMul(const Tensor& a, const Tensor& b, bool transpose_b) {
       BufferPool::Global().AcquireZeroed(static_cast<size_t>(bs * m * n));
   const Mat3D ma = Describe3D(*aa.impl());
   const Mat3D mb = Describe3D(*bb.impl());
-  for (int64_t i = 0; i < bs; ++i) {
-    const float* ai = ma.p + i * ma.batch_stride;
-    const float* bi = mb.p + i * mb.batch_stride;
-    float* ci = out->data() + i * m * n;
-    if (transpose_b) {
-      GemmNT(ai, ma.ld, bi, mb.ld, ci, n, m, k, n);
-    } else {
-      GemmNN(ai, ma.ld, bi, mb.ld, ci, n, m, k, n);
+  // Batch items write disjoint output blocks; a GEMM inside a parallel
+  // chunk runs inline, one that is the whole range may split its rows.
+  const auto items = [&](int64_t lo, int64_t hi) {
+    for (int64_t i = lo; i < hi; ++i) {
+      const float* ai = ma.p + i * ma.batch_stride;
+      const float* bi = mb.p + i * mb.batch_stride;
+      float* ci = out->data() + i * m * n;
+      if (transpose_b) {
+        GemmNT(ai, ma.ld, bi, mb.ld, ci, n, m, k, n);
+      } else {
+        GemmNN(ai, ma.ld, bi, mb.ld, ci, n, m, k, n);
+      }
     }
-  }
+  };
+  common::ParallelFor(0, bs, common::GrainFor(m * n * k), items);
   auto a_impl = aa.impl();
   auto b_impl = bb.impl();
   auto backward = [a_impl, b_impl, bs, m, k, n, transpose_b](TensorImpl& self) {

@@ -1,6 +1,8 @@
 #include <algorithm>
 #include <cmath>
 
+#include "common/parallel_for.h"
+#include "tensor/kernels.h"
 #include "tensor/ops.h"
 
 namespace start::tensor {
@@ -56,20 +58,23 @@ Tensor SoftmaxLastDim(const Tensor& a) {
   const int64_t rows = ac.numel() / d;
   auto out = AcquireBuffer(ac.numel());
   const float* pa = ac.data();
-#pragma omp parallel for if (rows * d > (1 << 14))
-  for (int64_t r = 0; r < rows; ++r) {
-    const float* x = pa + r * d;
-    float* y = out->data() + r * d;
-    float mx = x[0];
-    for (int64_t i = 1; i < d; ++i) mx = std::max(mx, x[i]);
-    float sum = 0.0f;
-    for (int64_t i = 0; i < d; ++i) {
-      y[i] = std::exp(x[i] - mx);
-      sum += y[i];
+  // exp dominates a row: about 16 multiply-adds' worth per element.
+  const auto softmax_rows = [&](int64_t lo, int64_t hi) {
+    for (int64_t r = lo; r < hi; ++r) {
+      const float* x = pa + r * d;
+      float* y = out->data() + r * d;
+      float mx = x[0];
+      for (int64_t i = 1; i < d; ++i) mx = std::max(mx, x[i]);
+      float sum = 0.0f;
+      for (int64_t i = 0; i < d; ++i) {
+        y[i] = std::exp(x[i] - mx);
+        sum += y[i];
+      }
+      const float inv = 1.0f / sum;
+      for (int64_t i = 0; i < d; ++i) y[i] *= inv;
     }
-    const float inv = 1.0f / sum;
-    for (int64_t i = 0; i < d; ++i) y[i] *= inv;
-  }
+  };
+  common::ParallelFor(0, rows, common::GrainFor(16 * d), softmax_rows);
   auto a_impl = ac.impl();
   // The output buffer is the saved softmax for the backward pass — no copy.
   auto y_buf = out;
@@ -147,26 +152,31 @@ Tensor LayerNorm(const Tensor& x, const Tensor& gamma, const Tensor& beta,
   const float* px = xc.data();
   const float* pg = gc.data();
   const float* pb = bc.data();
-  for (int64_t r = 0; r < rows; ++r) {
-    const float* xr = px + r * d;
-    float mean = 0.0f;
-    for (int64_t i = 0; i < d; ++i) mean += xr[i];
-    mean /= static_cast<float>(d);
-    float var = 0.0f;
-    for (int64_t i = 0; i < d; ++i) {
-      const float c = xr[i] - mean;
-      var += c * c;
+  const auto norm_rows = [&](int64_t lo, int64_t hi) {
+    for (int64_t r = lo; r < hi; ++r) {
+      const float* xr = px + r * d;
+      float mean = 0.0f;
+      for (int64_t i = 0; i < d; ++i) mean += xr[i];
+      mean /= static_cast<float>(d);
+      float var = 0.0f;
+      for (int64_t i = 0; i < d; ++i) {
+        const float c = xr[i] - mean;
+        var += c * c;
+      }
+      var /= static_cast<float>(d);
+      const float istd = 1.0f / std::sqrt(var + eps);
+      (*inv_std)[static_cast<size_t>(r)] = istd;
+      float* hr = xhat->data() + r * d;
+      float* yr = out->data() + r * d;
+      for (int64_t i = 0; i < d; ++i) {
+        hr[i] = (xr[i] - mean) * istd;
+        yr[i] = hr[i] * pg[i] + pb[i];
+      }
     }
-    var /= static_cast<float>(d);
-    const float istd = 1.0f / std::sqrt(var + eps);
-    (*inv_std)[static_cast<size_t>(r)] = istd;
-    float* hr = xhat->data() + r * d;
-    float* yr = out->data() + r * d;
-    for (int64_t i = 0; i < d; ++i) {
-      hr[i] = (xr[i] - mean) * istd;
-      yr[i] = hr[i] * pg[i] + pb[i];
-    }
-  }
+  };
+  // Three elementwise passes per row; rows are independent.
+  const int64_t row_work = 3 * internal::kElementwiseWork * d;
+  common::ParallelFor(0, rows, common::GrainFor(row_work), norm_rows);
   auto x_impl = xc.impl();
   auto g_impl = gc.impl();
   auto b_impl = bc.impl();

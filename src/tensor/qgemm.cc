@@ -5,6 +5,7 @@
 #include <cstring>
 
 #include "common/check.h"
+#include "common/parallel_for.h"
 
 #if defined(__x86_64__) && (defined(__GNUC__) || defined(__clang__))
 #define START_QGEMM_HAVE_AVX2 1
@@ -44,11 +45,22 @@ void QuantizeRow(const float* src, int64_t cols, int8_t* dst, float* scale) {
   }
   *scale = absmax / 127.0f;
   const float inv = 127.0f / absmax;
+  // Adding and removing 1.5 * 2^23 rounds half-to-even exactly like
+  // std::nearbyintf for |v| < 2^22 (here |v| <= 127), but vectorises
+  // instead of calling libm per element.
+  constexpr float kRound = 12582912.0f;
   for (int64_t k = 0; k < cols; ++k) {
-    int32_t q = static_cast<int32_t>(std::nearbyintf(src[k] * inv));
+    const float v = src[k] * inv;
+    int32_t q = static_cast<int32_t>((v + kRound) - kRound);
     q = q > 127 ? 127 : (q < -127 ? -127 : q);
     dst[k] = static_cast<int8_t>(q);
   }
+}
+
+/// GrainFor work of one activation row against `b`: an i8 multiply-add of
+/// the AVX2 microkernel costs about a quarter of a vectorised f32 one.
+int64_t RowWork(const PackedMatrix& b) {
+  return b.rows * b.cols_padded / 4;
 }
 
 /// Scalar reference microkernel: i32 dot of one activation row against the
@@ -207,32 +219,36 @@ void Gemm(const int8_t* aq, const float* a_scales, int64_t m,
   const int64_t panels = b.rows_padded / kRowsPerPanel;
   const float* b_scales = b.scales.data();
   const int8_t* b_data = b.data.data();
-#pragma omp parallel for if (m * b.rows * b.cols_padded > (int64_t{1} << 16))
-  for (int64_t i = 0; i < m; ++i) {
-    const int8_t* pa = aq + i * b.cols_padded;
-    const float sa = a_scales[i];
-    float* crow = c + i * ldc;
-    for (int64_t p = 0; p < panels; ++p) {
-      const int8_t* panel = b_data + p * kRowsPerPanel * b.cols_padded;
-      int32_t acc[kRowsPerPanel];
+  const auto rows = [&](int64_t lo, int64_t hi) {
+    for (int64_t i = lo; i < hi; ++i) {
+      const int8_t* pa = aq + i * b.cols_padded;
+      const float sa = a_scales[i];
+      float* crow = c + i * ldc;
+      for (int64_t p = 0; p < panels; ++p) {
+        const int8_t* panel = b_data + p * kRowsPerPanel * b.cols_padded;
+        int32_t acc[kRowsPerPanel];
 #if START_QGEMM_HAVE_AVX2
-      if (backend == Backend::kAvx2) {
-        PanelDotAvx2(pa, panel, b.cols_padded, acc);
-      } else {
-        PanelDotScalar(pa, panel, b.cols_padded, acc);
-      }
+        if (backend == Backend::kAvx2) {
+          PanelDotAvx2(pa, panel, b.cols_padded, acc);
+        } else {
+          PanelDotScalar(pa, panel, b.cols_padded, acc);
+        }
 #else
-      PanelDotScalar(pa, panel, b.cols_padded, acc);
+        PanelDotScalar(pa, panel, b.cols_padded, acc);
 #endif
-      // Shared dequant epilogue: both backends run these exact float ops in
-      // this exact order, which is what makes them bitwise interchangeable.
-      const int64_t j0 = p * kRowsPerPanel;
-      const int64_t jn = std::min(kRowsPerPanel, b.rows - j0);
-      for (int64_t r = 0; r < jn; ++r) {
-        crow[j0 + r] += static_cast<float>(acc[r]) * (sa * b_scales[j0 + r]);
+        // Shared dequant epilogue: both backends run these exact float ops
+        // in this exact order, which makes them bitwise interchangeable.
+        const int64_t j0 = p * kRowsPerPanel;
+        const int64_t jn = std::min(kRowsPerPanel, b.rows - j0);
+        for (int64_t r = 0; r < jn; ++r) {
+          crow[j0 + r] +=
+              static_cast<float>(acc[r]) * (sa * b_scales[j0 + r]);
+        }
       }
     }
-  }
+  };
+  // Rows of C are independent, so C is bitwise identical at any budget.
+  common::ParallelFor(0, m, common::GrainFor(RowWork(b)), rows);
 }
 
 void Gemm(const int8_t* aq, const float* a_scales, int64_t m,
@@ -253,16 +269,24 @@ void AffineForward(const float* x, int64_t ldx, int64_t m,
   if (static_cast<int64_t>(a_scales.size()) < m) {
     a_scales.resize(static_cast<size_t>(m));
   }
-  QuantizeActivations(x, ldx, m, b, aq.data(), a_scales.data());
-  for (int64_t i = 0; i < m; ++i) {
-    float* row = y + i * ldy;
-    if (bias != nullptr) {
-      std::memcpy(row, bias, static_cast<size_t>(b.rows) * sizeof(float));
-    } else {
-      std::memset(row, 0, static_cast<size_t>(b.rows) * sizeof(float));
+  // Quantize, bias and multiply each chunk of rows in one pass: rows are
+  // independent end to end, and the Gemm inside a chunk runs inline.
+  int8_t* const aq_data = aq.data();
+  float* const scales = a_scales.data();
+  const auto rows = [&](int64_t lo, int64_t hi) {
+    int8_t* const aq_lo = aq_data + lo * b.cols_padded;
+    QuantizeActivations(x + lo * ldx, ldx, hi - lo, b, aq_lo, scales + lo);
+    for (int64_t i = lo; i < hi; ++i) {
+      float* row = y + i * ldy;
+      if (bias != nullptr) {
+        std::memcpy(row, bias, static_cast<size_t>(b.rows) * sizeof(float));
+      } else {
+        std::memset(row, 0, static_cast<size_t>(b.rows) * sizeof(float));
+      }
     }
-  }
-  Gemm(aq.data(), a_scales.data(), m, b, y, ldy);
+    Gemm(aq_lo, scales + lo, hi - lo, b, y + lo * ldy, ldy);
+  };
+  common::ParallelFor(0, m, common::GrainFor(RowWork(b)), rows);
 }
 
 }  // namespace start::tensor::qgemm

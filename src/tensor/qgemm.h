@@ -18,8 +18,8 @@
 ///    per output element: C[i,j] += float(acc) * (sa_i * sb_j). Because the
 ///    integer part is exact and the float epilogue is shared between
 ///    backends, results are bitwise identical across the scalar reference,
-///    the AVX2 microkernel, and any OpenMP thread count (rows are
-///    independent).
+///    the AVX2 microkernel, and any common::ParallelFor thread budget (rows
+///    are independent and chunked at fixed boundaries).
 ///
 /// Packing layout (cache-blocked panels): rows are grouped into panels of
 /// kRowsPerPanel output channels; within a panel the K dimension is split

@@ -5,10 +5,6 @@
 #include <gtest/gtest.h>
 #include <set>
 
-#ifdef _OPENMP
-#include <omp.h>
-#endif
-
 #include "core/start_model.h"
 #include "data/augmentation.h"
 #include "data/batch.h"
@@ -25,7 +21,7 @@
 namespace start {
 namespace {
 
-using testutil::ForEachOmpRegime;
+using testutil::ForEachThreadBudget;
 
 // ---------------------------------------------------------------------------
 // Augmentation invariants over random seeds (Sec. III-C2).
@@ -287,8 +283,8 @@ TEST(EncoderPropertyTest, TrainingDropoutDiversifiesViews) {
 // ---------------------------------------------------------------------------
 // Strided kernel engine: GemmNN/NT/TN and broadcast elementwise ops against
 // naive scalar references, over randomized shapes / leading dimensions /
-// transposes, under both OpenMP regimes (see ForEachOmpRegime). The GEMMs
-// must also be bitwise-stable across thread counts: they parallelise over
+// transposes, at thread budgets 1/2/4 (see ForEachThreadBudget). The GEMMs
+// must also be bitwise-stable across budgets: they parallelise over
 // independent output rows while each dot product stays a fixed serial fold —
 // the property the sharded trainer's determinism contract leans on.
 // ---------------------------------------------------------------------------
@@ -373,8 +369,8 @@ TEST_P(StridedGemmPropertyTest, MatchesNaiveReferenceAllVariants) {
   for (const auto& variant : variants) {
     SCOPED_TRACE(variant.name);
     std::vector<std::vector<float>> results;
-    ForEachOmpRegime([&](const char* regime) {
-      SCOPED_TRACE(regime);
+    ForEachThreadBudget([&](const char* budget) {
+      SCOPED_TRACE(budget);
       std::vector<float> c = c_init;
       variant.run(&c);
       // Numeric correctness vs the double-precision scalar reference.
@@ -397,10 +393,10 @@ TEST_P(StridedGemmPropertyTest, MatchesNaiveReferenceAllVariants) {
       }
       results.push_back(std::move(c));
     });
-    // Bitwise identical across thread regimes.
+    // Bitwise identical across thread budgets.
     for (size_t r = 1; r < results.size(); ++r) {
       testutil::ExpectFloatsBitwiseEqual(results[0], results[r],
-                                         "thread-count invariance");
+                                         "thread-budget invariance");
     }
   }
 }
@@ -460,8 +456,8 @@ TEST_P(BroadcastElementwisePropertyTest, MatchesNaiveReference) {
   for (const auto& op : ops) {
     SCOPED_TRACE(op.name);
     std::vector<std::vector<float>> results;
-    ForEachOmpRegime([&](const char* regime) {
-      SCOPED_TRACE(regime);
+    ForEachThreadBudget([&](const char* budget) {
+      SCOPED_TRACE(budget);
       const tensor::Tensor out = op.apply(a, b);
       ASSERT_EQ(out.shape(), tensor::Shape({d0, d1}));
       std::vector<float> flat(static_cast<size_t>(out.numel()));
@@ -482,7 +478,7 @@ TEST_P(BroadcastElementwisePropertyTest, MatchesNaiveReference) {
     });
     for (size_t r = 1; r < results.size(); ++r) {
       testutil::ExpectFloatsBitwiseEqual(results[0], results[r],
-                                         "thread-count invariance");
+                                         "thread-budget invariance");
     }
   }
 }
@@ -539,7 +535,7 @@ namespace qg = tensor::qgemm;
 ///  - Gemm output within the analytic per-row-scale error bound of a
 ///    double-precision GEMM over the original floats;
 ///  - C padding tail (columns [n, ldc)) untouched;
-///  - bitwise invariance across OpenMP regimes and across backends.
+///  - bitwise invariance across thread budgets and across backends.
 void CheckQGemmInstance(common::Rng* rng, int64_t m, int64_t k, int64_t n,
                         int64_t lda, int64_t ldc) {
   SCOPED_TRACE("m=" + std::to_string(m) + " k=" + std::to_string(k) +
@@ -617,18 +613,18 @@ void CheckQGemmInstance(common::Rng* rng, int64_t m, int64_t k, int64_t n,
   std::vector<std::vector<float>> results;
   for (const qg::Backend backend : backends) {
     SCOPED_TRACE(qg::BackendName(backend));
-    ForEachOmpRegime([&](const char* regime) {
-      SCOPED_TRACE(regime);
+    ForEachThreadBudget([&](const char* budget) {
+      SCOPED_TRACE(budget);
       std::vector<float> c = c_init;
       qg::Gemm(aq.data(), ascales.data(), m, packed, c.data(), ldc, backend);
       results.push_back(std::move(c));
     });
   }
-  // Backend- and thread-count-invariance, bitwise, and exactness vs the
+  // Backend- and thread-budget-invariance, bitwise, and exactness vs the
   // integer reference.
   for (size_t r = 0; r < results.size(); ++r) {
     testutil::ExpectFloatsBitwiseEqual(results[0], results[r],
-                                       "backend/thread-count invariance");
+                                       "backend/thread-budget invariance");
   }
   testutil::ExpectFloatsBitwiseEqual(results[0], expected,
                                      "exact integer reference");

@@ -10,7 +10,7 @@
 //    half-ingested;
 //  - deterministic replay: the same stream produces bitwise-identical
 //    embeddings, index contents, and drift windows for every worker-count
-//    configuration, swept across OpenMP regimes;
+//    configuration, swept across thread budgets 1/2/4;
 //  - a queries-during-ingest churn soak against the HNSW backend;
 //  - engine hot-swap: SwapEngine splits the stream exactly at a sequence
 //    boundary (items before/after run every stage against their own
@@ -454,7 +454,8 @@ TEST_F(StreamPipelineTest, ReplayIsBitwiseDeterministicAcrossWorkerCounts) {
     run.index_size = index.size();
     return run;
   };
-  testutil::ForEachOmpRegime([&](const char* regime) {
+  std::vector<std::vector<float>> first_rows;
+  testutil::ForEachThreadBudget([&](const char* regime) {
     const Run base = run_once(1, 1, 1, 1);
     ASSERT_GT(base.ids.size(), 0u) << regime;
     const Run wide = run_once(3, 2, 2, 8);
@@ -479,6 +480,12 @@ TEST_F(StreamPipelineTest, ReplayIsBitwiseDeterministicAcrossWorkerCounts) {
       EXPECT_EQ(std::memcmp(&base.drift[w].norm_shift,
                             &wide.drift[w].norm_shift, sizeof(double)),
                 0);
+    }
+    // ...and across budgets: the kernels' chunking changes nothing.
+    if (first_rows.empty()) first_rows = base.rows;
+    ASSERT_EQ(first_rows.size(), base.rows.size()) << regime;
+    for (size_t i = 0; i < base.rows.size(); ++i) {
+      testutil::ExpectFloatsBitwiseEqual(first_rows[i], base.rows[i], regime);
     }
   });
 }

@@ -2,6 +2,7 @@
 
 #include <cmath>
 #include <gtest/gtest.h>
+#include <thread>
 
 #include "common/rng.h"
 #include "tensor/tensor.h"
@@ -493,6 +494,22 @@ TEST(BufferPoolTest, RecyclesBuffers) {
   const auto after = pool.stats();
   EXPECT_EQ(after.hits, before.hits + 1);
   EXPECT_EQ(after.recycled, before.recycled + 1);
+}
+
+TEST(BufferPoolTest, ThreadCacheCountsFoldIntoStatsAtThreadExit) {
+  auto& pool = BufferPool::Global();
+  pool.Trim();
+  const auto before = pool.stats();
+  std::thread worker([&pool] {
+    { auto buf = pool.Acquire(256); }  // miss, parked in this thread's cache
+    auto again = pool.Acquire(200);    // same bucket: a lock-free local hit
+  });  // second release parks too; thread exit frees the cache
+  worker.join();
+  const auto after = pool.stats();
+  EXPECT_EQ(after.misses, before.misses + 1);
+  EXPECT_EQ(after.hits, before.hits + 1);
+  EXPECT_EQ(after.recycled, before.recycled + 2);
+  EXPECT_EQ(after.free_bytes, before.free_bytes);
 }
 
 TEST(DropoutTest, ExplicitRngIsReproducible) {

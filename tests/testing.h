@@ -22,14 +22,11 @@
 
 #include <gtest/gtest.h>
 
-#ifdef _OPENMP
-#include <omp.h>
-#endif
-
 #include <memory>
 #include <string>
 #include <vector>
 
+#include "common/parallel_for.h"
 #include "common/rng.h"
 #include "core/config.h"
 #include "nn/module.h"
@@ -147,26 +144,33 @@ uint64_t TestSeed(uint64_t salt = 0);
 common::Rng TestRng(uint64_t salt = 0);
 
 // ---------------------------------------------------------------------------
-// Thread-regime sweeps.
+// Thread-budget sweeps.
 // ---------------------------------------------------------------------------
 
-/// Runs `fn(regime_label)` under every OpenMP thread-count regime the build
-/// supports (1 thread and the ambient default) — for asserting that a
-/// result holds, bitwise, regardless of how many threads the kernels fork.
-/// In OpenMP-less builds (e.g. the TSan CI job) this is a single serial
-/// run. The ambient thread count is restored afterwards.
+/// Minimum chunk work of the parallel budgets in ForEachThreadBudget: small
+/// enough that test-sized kernels split into many chunks.
+constexpr int64_t kSweepMinChunkWork = 256;
+
+/// Runs `fn(budget_label)` at executor budgets 1, 2 and 4 (see
+/// common/parallel_for.h) — for asserting that a result holds, bitwise,
+/// regardless of how many threads run the kernels. Budget 1 keeps the
+/// production grain; budgets 2 and 4 lower it to kSweepMinChunkWork, so the
+/// sweep also asserts that results do not depend on the chunking. The
+/// ambient budget is restored afterwards.
 template <typename Fn>
-void ForEachOmpRegime(Fn fn) {
-#ifdef _OPENMP
-  const int ambient = omp_get_max_threads();
-  omp_set_num_threads(1);
-  fn("omp_threads=1");
-  omp_set_num_threads(ambient > 1 ? ambient : 2);
-  fn("omp_threads=default");
-  omp_set_num_threads(ambient);
-#else
-  fn("openmp_off");
-#endif
+void ForEachThreadBudget(Fn fn) {
+  {
+    common::ScopedThreadBudget budget(1);
+    fn("budget=1");
+  }
+  {
+    common::ScopedThreadBudget budget(2, kSweepMinChunkWork);
+    fn("budget=2");
+  }
+  {
+    common::ScopedThreadBudget budget(4, kSweepMinChunkWork);
+    fn("budget=4");
+  }
 }
 
 }  // namespace start::testutil
