@@ -13,7 +13,7 @@
 //     requests through one EmbeddingService. The 1 -> 4 client gain comes
 //     from micro-batch coalescing (concurrent requests share one deadline
 //     wait and one batch's fixed work) plus, on multi-core hosts, worker
-//     parallelism.
+//     parallelism. Gated on the median of three repetitions.
 //  3. Batch-coalescing efficiency of a burst: mean requests per engine call
 //     and padding efficiency of the coalesced batches.
 //  4. Single-request latency (EncodeSync round trip), reported raw.
@@ -38,6 +38,7 @@
 //   cmake -B build -S . && cmake --build build -j --target bench_serve
 //   ./build/bench_serve
 #include <algorithm>
+#include <array>
 #include <atomic>
 #include <cmath>
 #include <cstdio>
@@ -487,13 +488,20 @@ int main() {
   const double embed_frozen = n_trajs / frozen_s;
   const double frozen_speedup = embed_frozen / embed_seed;
 
-  // 2. Service throughput: 1 vs 4 synchronous clients.
+  // 2. Service throughput: 1 vs 4 synchronous clients. One pair on a shared
+  // host can read low, so the pair runs three times and the repetition with
+  // the median scaling is reported and gated.
   const int64_t kRequests = 256;
-  const double thr1 =
-      MeasureServiceThroughput(frozen.get(), w.corpus, 1, kRequests);
-  const double thr4 =
-      MeasureServiceThroughput(frozen.get(), w.corpus, 4, kRequests / 4);
-  const double scaling = thr4 / thr1;
+  std::vector<std::array<double, 3>> scaling_reps;  // {scaling, thr1, thr4}
+  for (int rep = 0; rep < 3; ++rep) {
+    const double rep_thr1 =
+        MeasureServiceThroughput(frozen.get(), w.corpus, 1, kRequests);
+    const double rep_thr4 =
+        MeasureServiceThroughput(frozen.get(), w.corpus, 4, kRequests / 4);
+    scaling_reps.push_back({rep_thr4 / rep_thr1, rep_thr1, rep_thr4});
+  }
+  std::sort(scaling_reps.begin(), scaling_reps.end());
+  const auto& [scaling, thr1, thr4] = scaling_reps[1];
 
   // 3. Coalescing efficiency of an async burst, plus the bitwise gate: every
   // embedding served out of arbitrarily coalesced batches must equal the
@@ -678,7 +686,8 @@ int main() {
                  frozen_speedup);
     return 1;
   }
-  // 3. Always: 1 -> 4 clients must gain >= 1.5x. Two stacked mechanisms
+  // 3. Always: 1 -> 4 clients must gain >= 1.5x (median of three
+  //    repetitions). Two stacked mechanisms
   //    deliver it, and only one needs hardware parallelism: concurrent
   //    clients amortise the coalescing deadline + per-batch fixed work
   //    across a micro-batch (a single synchronous client pays the full

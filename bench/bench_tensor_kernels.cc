@@ -1,8 +1,9 @@
 // Microbenchmark for the elementwise kernel engine: broadcast and same-shape
 // ops at transformer-pretraining shapes [B=64, T=128, D=256], against a
-// faithful reimplementation of the seed's scalar div/mod broadcast loop, and
+// faithful reimplementation of the seed's scalar div/mod broadcast loop,
 // per-head attention BMMs over strided slices against a scalar loop over
-// copied slices. Each kernel is also timed at thread budgets 1, 2 and 4
+// copied slices, and the Linear-backward GemmNT/GemmTN against their scalar
+// backend. Each kernel is also timed at thread budgets 1, 2 and 4
 // (common::ScopedThreadBudget); the run fails if a row is slower at budget 4
 // than at budget 1. Emits BENCH_tensor.json so CI tracks the kernel
 // perf trajectory.
@@ -21,6 +22,7 @@
 #include "common/parallel_for.h"
 #include "common/rng.h"
 #include "common/stopwatch.h"
+#include "tensor/backend.h"
 #include "tensor/kernels.h"
 #include "tensor/ops.h"
 #include "tensor/tensor.h"
@@ -225,6 +227,52 @@ BenchResult BenchView(const char* name, int iters) {
   return r;
 }
 
+/// Linear-backward GEMMs at perfbench's d=64 model: `nt` is dX = dY·Wᵀ
+/// ([640,64]·[64,64]ᵀ), otherwise dW = Xᵀ·dY ([640,64]ᵀ·[640,64]). The
+/// scalar reference is the same primitive on the scalar backend at budget 1;
+/// both backends must agree bitwise.
+BenchResult BenchGemm(const char* name, bool nt, int iters) {
+  using start::tensor::Backend;
+  constexpr int64_t kRows = 640, kDim = 64;
+  Rng rng(11);
+  const Tensor a = Tensor::Rand(Shape({kRows, kDim}), &rng, -1, 1);
+  const Tensor b = nt ? Tensor::Rand(Shape({kDim, kDim}), &rng, -1, 1)
+                      : Tensor::Rand(Shape({kRows, kDim}), &rng, -1, 1);
+  const int64_t m = nt ? kRows : kDim;
+  std::vector<float> c(static_cast<size_t>(m * kDim));
+  const auto gemm = [&](Backend backend) {
+    if (nt) {
+      start::tensor::internal::GemmNT(a.data(), kDim, b.data(), kDim,
+                                      c.data(), kDim, kRows, kDim, kDim,
+                                      backend);
+    } else {
+      start::tensor::internal::GemmTN(a.data(), kDim, b.data(), kDim,
+                                      c.data(), kDim, kDim, kRows, kDim,
+                                      backend);
+    }
+  };
+  const auto run_from_zero = [&](Backend backend) {
+    std::fill(c.begin(), c.end(), 0.0f);
+    gemm(backend);
+    return c;
+  };
+  const Backend active = start::tensor::ActiveBackend();
+  if (run_from_zero(Backend::kScalar) != run_from_zero(active)) {
+    std::fprintf(stderr, "MISMATCH in %s: %s backend differs from scalar\n",
+                 name, start::tensor::BackendName(active));
+    std::exit(1);
+  }
+  BenchResult r;
+  r.name = name;
+  {
+    ScopedThreadBudget serial(1);
+    r.scalar_ms = TimeMs(iters, [&] { gemm(Backend::kScalar); });
+  }
+  TimeKernel(iters, [&] { gemm(active); }, &r);
+  r.speedup = r.scalar_ms / r.kernel_ms;
+  return r;
+}
+
 }  // namespace
 
 int main() {
@@ -240,6 +288,8 @@ int main() {
                                    Shape({kB, kT, kD}), Shape({kB, kT, kD}),
                                    9));
   results.push_back(BenchView("bmm_head_slices_B8_T128_D256", 9));
+  results.push_back(BenchGemm("gemm_nt_linear_dx_640x64x64", true, 41));
+  results.push_back(BenchGemm("gemm_tn_linear_dw_640x64x64", false, 41));
 
   std::FILE* json = std::fopen("BENCH_tensor.json", "w");
   if (json == nullptr) {

@@ -41,19 +41,27 @@ struct Job {
 /// holds a slot for its whole call, and a worker takes a free slot for each
 /// chunk it runs or gives its ticket up. Several busy callers therefore
 /// never get the workers piled on top of them.
+///
+/// Parked workers are woken last-parked first. A run of small calls that
+/// each offer one ticket then keeps reusing the one worker that just went
+/// idle, whose core and caches are still warm, instead of waking whichever
+/// worker has slept longest (on a VM, a halted vCPU can take longer to wake
+/// than a sub-millisecond chunk takes to run).
 class Pool {
  public:
-  explicit Pool(int workers) {
+  explicit Pool(int workers) : parked_(static_cast<size_t>(workers)) {
     threads_.reserve(static_cast<size_t>(workers));
-    for (int i = 0; i < workers; ++i) threads_.emplace_back([this] { Loop(); });
+    for (int i = 0; i < workers; ++i) {
+      threads_.emplace_back([this, i] { Loop(i); });
+    }
   }
 
   ~Pool() {
     {
       std::lock_guard<std::mutex> lock(mu_);
       stop_ = true;
+      for (auto& p : parked_) p.cv.notify_one();
     }
-    cv_.notify_all();
     for (auto& t : threads_) t.join();
   }
 
@@ -80,15 +88,15 @@ class Pool {
   /// Queues `tickets` invitations for workers to help with `job`.
   void Offer(const std::shared_ptr<Job>& job, int64_t tickets) {
     if (tickets == 0) return;
-    {
-      std::lock_guard<std::mutex> lock(mu_);
-      for (int64_t i = 0; i < tickets; ++i) queue_.push_back(job);
-    }
-    // One wake-all is one syscall; the common case offers every worker.
-    if (tickets == budget() - 1) {
-      cv_.notify_all();
-    } else {
-      for (int64_t i = 0; i < tickets; ++i) cv_.notify_one();
+    std::lock_guard<std::mutex> lock(mu_);
+    for (int64_t i = 0; i < tickets; ++i) {
+      queue_.push_back(job);
+      // A ticket no parked worker takes now waits for a busy one.
+      if (idle_.empty()) continue;
+      Parked& p = parked_[static_cast<size_t>(idle_.back())];
+      idle_.pop_back();
+      p.woken = true;
+      p.cv.notify_one();
     }
   }
 
@@ -123,12 +131,17 @@ class Pool {
     t_in_chunk = outer;
   }
 
-  void Loop() {
+  void Loop(int self) {
+    Parked& parked = parked_[static_cast<size_t>(self)];
     for (;;) {
       std::shared_ptr<Job> job;
       {
         std::unique_lock<std::mutex> lock(mu_);
-        cv_.wait(lock, [this] { return stop_ || !queue_.empty(); });
+        while (!stop_ && queue_.empty()) {
+          idle_.push_back(self);
+          parked.cv.wait(lock, [&] { return stop_ || parked.woken; });
+          parked.woken = false;
+        }
         if (stop_) return;
         job = std::move(queue_.front());
         queue_.pop_front();
@@ -137,9 +150,16 @@ class Pool {
     }
   }
 
+  /// One worker's wake-up channel.
+  struct Parked {
+    std::condition_variable cv;
+    bool woken = false;  ///< Guarded by mu_.
+  };
+
   std::atomic<int64_t> busy_{0};  ///< Threads running chunks, callers incl.
   std::mutex mu_;
-  std::condition_variable cv_;
+  std::vector<Parked> parked_;  ///< One per worker.
+  std::vector<int> idle_;  ///< Parked workers, last parked at the back; mu_.
   std::deque<std::shared_ptr<Job>> queue_;  ///< Guarded by mu_.
   bool stop_ = false;                       ///< Guarded by mu_.
   std::vector<std::thread> threads_;        ///< Last: workers use the above.

@@ -165,15 +165,19 @@ void BufferPool::Release(std::vector<float>* v) {
   ThreadCache* cache = ThreadCache::ForThisThread();
   if (cache != nullptr && cache->Park(v, bucket)) return;
   const uint64_t bytes = v->capacity() * sizeof(float);
-  std::lock_guard<std::mutex> lock(mu_);
-  if (buckets_[bucket].size() >= kMaxFreePerBucket ||
-      stats_.free_bytes + bytes > kMaxFreeBytes) {
-    delete v;
-    return;
+  {
+    std::lock_guard<std::mutex> lock(mu_);
+    if (buckets_[bucket].size() < kMaxFreePerBucket &&
+        stats_.free_bytes + bytes <= kMaxFreeBytes) {
+      stats_.recycled++;
+      stats_.free_bytes += bytes;
+      buckets_[bucket].emplace_back(v);
+      return;
+    }
   }
-  stats_.recycled++;
-  stats_.free_bytes += bytes;
-  buckets_[bucket].emplace_back(v);
+  // A full free list frees outside the lock: free() of a large buffer can
+  // unmap pages, and the lock is on every thread's allocation path.
+  delete v;
 }
 
 void BufferPool::Trim() {

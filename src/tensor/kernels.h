@@ -5,6 +5,7 @@
 #include <cstdint>
 
 #include "common/parallel_for.h"
+#include "tensor/backend.h"
 #include "tensor/tensor.h"
 
 /// \file
@@ -212,10 +213,19 @@ void GemmNN(const float* a, int64_t lda, const float* b, int64_t ldb, float* c,
             int64_t ldc, int64_t m, int64_t k, int64_t n);
 
 /// C[m,n] (ldc) += A[m,k] (lda) * B^T where B is stored [n,k] (ldb).
+/// Each C element is `acc = 0; acc += a·b over p ascending; c += acc` on
+/// every backend (README.md, "GEMM kernels"), so the result is bitwise
+/// independent of `backend` and of the thread budget.
+void GemmNT(const float* a, int64_t lda, const float* b, int64_t ldb, float* c,
+            int64_t ldc, int64_t m, int64_t k, int64_t n, Backend backend);
 void GemmNT(const float* a, int64_t lda, const float* b, int64_t ldb, float* c,
             int64_t ldc, int64_t m, int64_t k, int64_t n);
 
 /// C[m,n] (ldc) += A^T * B where A is stored [k,m] (lda), B is [k,n] (ldb).
+/// Each C element is `c += a·b over p ascending`, skipping a == 0, on every
+/// backend — bitwise independent of `backend` and of the thread budget.
+void GemmTN(const float* a, int64_t lda, const float* b, int64_t ldb, float* c,
+            int64_t ldc, int64_t m, int64_t k, int64_t n, Backend backend);
 void GemmTN(const float* a, int64_t lda, const float* b, int64_t ldb, float* c,
             int64_t ldc, int64_t m, int64_t k, int64_t n);
 

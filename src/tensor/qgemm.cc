@@ -1,14 +1,12 @@
 #include "tensor/qgemm.h"
 
 #include <cmath>
-#include <cstdlib>
 #include <cstring>
 
 #include "common/check.h"
 #include "common/parallel_for.h"
 
-#if defined(__x86_64__) && (defined(__GNUC__) || defined(__clang__))
-#define START_QGEMM_HAVE_AVX2 1
+#if START_TENSOR_HAVE_AVX2
 #include <immintrin.h>
 #endif
 
@@ -82,7 +80,7 @@ void PanelDotScalar(const int8_t* pa, const int8_t* panel, int64_t cols_padded,
   }
 }
 
-#if START_QGEMM_HAVE_AVX2
+#if START_TENSOR_HAVE_AVX2
 __attribute__((target("avx2"))) int32_t HorizontalSumI32(__m256i v) {
   const __m128i lo = _mm256_castsi256_si128(v);
   const __m128i hi = _mm256_extracti128_si256(v, 1);
@@ -132,26 +130,9 @@ __attribute__((target("avx2"))) void PanelDotAvx2(
   acc_out[2] = HorizontalSumI32(acc2);
   acc_out[3] = HorizontalSumI32(acc3);
 }
-#endif  // START_QGEMM_HAVE_AVX2
+#endif  // START_TENSOR_HAVE_AVX2
 
 }  // namespace
-
-Backend ActiveBackend() {
-  static const Backend backend = [] {
-#if START_QGEMM_HAVE_AVX2
-    const char* env = std::getenv("START_QGEMM_BACKEND");
-    if (env == nullptr || std::strcmp(env, "scalar") != 0) {
-      if (__builtin_cpu_supports("avx2")) return Backend::kAvx2;
-    }
-#endif
-    return Backend::kScalar;
-  }();
-  return backend;
-}
-
-const char* BackendName(Backend backend) {
-  return backend == Backend::kAvx2 ? "avx2" : "scalar";
-}
 
 void QuantizeRows(const float* src, int64_t ld, int64_t rows, int64_t cols,
                   int8_t* dst, float* scales) {
@@ -213,7 +194,7 @@ void QuantizeActivations(const float* a, int64_t lda, int64_t m,
 
 void Gemm(const int8_t* aq, const float* a_scales, int64_t m,
           const PackedMatrix& b, float* c, int64_t ldc, Backend backend) {
-#if !START_QGEMM_HAVE_AVX2
+#if !START_TENSOR_HAVE_AVX2
   backend = Backend::kScalar;
 #endif
   const int64_t panels = b.rows_padded / kRowsPerPanel;
@@ -227,7 +208,7 @@ void Gemm(const int8_t* aq, const float* a_scales, int64_t m,
       for (int64_t p = 0; p < panels; ++p) {
         const int8_t* panel = b_data + p * kRowsPerPanel * b.cols_padded;
         int32_t acc[kRowsPerPanel];
-#if START_QGEMM_HAVE_AVX2
+#if START_TENSOR_HAVE_AVX2
         if (backend == Backend::kAvx2) {
           PanelDotAvx2(pa, panel, b.cols_padded, acc);
         } else {

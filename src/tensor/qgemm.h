@@ -4,6 +4,8 @@
 #include <cstdint>
 #include <vector>
 
+#include "tensor/backend.h"
+
 /// \file
 /// Post-training int8 GEMM for the frozen serving plane.
 ///
@@ -48,15 +50,12 @@ struct PackedMatrix {
   std::vector<float> scales;  ///< [rows] per-row dequant scales.
 };
 
-/// Kernel backends. kScalar is the portable reference; kAvx2 is the SIMD
-/// microkernel (maddubs + sign-transfer, 32 int8 products per instruction).
-/// Both produce bitwise identical output.
-enum class Backend { kScalar, kAvx2 };
-
-/// The backend the host dispatches to: kAvx2 when the CPU supports AVX2 and
-/// the environment variable START_QGEMM_BACKEND is not "scalar".
-Backend ActiveBackend();
-const char* BackendName(Backend backend);
+/// The tensor-level dispatch (tensor/backend.h), under qgemm's names. kAvx2
+/// is the SIMD microkernel (maddubs + sign-transfer, 32 int8 products per
+/// instruction); both backends produce bitwise identical output.
+using tensor::ActiveBackend;
+using tensor::Backend;
+using tensor::BackendName;
 
 /// \brief Per-row absmax int8 quantization of `rows` x `cols` floats read
 /// with leading dimension `ld` (so strided views / submatrices quantize

@@ -12,6 +12,7 @@
 #include "eval/metrics.h"
 #include "roadnet/shortest_path.h"
 #include "roadnet/synthetic_city.h"
+#include "tensor/backend.h"
 #include "tensor/kernels.h"
 #include "tensor/ops.h"
 #include "tensor/qgemm.h"
@@ -283,19 +284,21 @@ TEST(EncoderPropertyTest, TrainingDropoutDiversifiesViews) {
 // ---------------------------------------------------------------------------
 // Strided kernel engine: GemmNN/NT/TN and broadcast elementwise ops against
 // naive scalar references, over randomized shapes / leading dimensions /
-// transposes, at thread budgets 1/2/4 (see ForEachThreadBudget). The GEMMs
-// must also be bitwise-stable across budgets: they parallelise over
-// independent output rows while each dot product stays a fixed serial fold —
-// the property the sharded trainer's determinism contract leans on.
+// transposes, at thread budgets 1/2/4 (see ForEachThreadBudget). The shapes
+// cross the AVX2 tile edges (GemmNT's 4-row x 8-column tiles, GemmTN's
+// 32-column row blocks) and A holds exact zeros (GemmNN/TN skip them). Every
+// backend must reproduce, bitwise, a float reference folded in the scalar
+// kernel's order — the property the golden fixtures and the sharded
+// trainer's determinism contract lean on.
 // ---------------------------------------------------------------------------
 
 class StridedGemmPropertyTest : public ::testing::TestWithParam<int> {};
 
 TEST_P(StridedGemmPropertyTest, MatchesNaiveReferenceAllVariants) {
   common::Rng rng(testutil::TestSeed(GetParam()));
-  const int64_t m = 1 + rng.UniformInt(17);
-  const int64_t k = 1 + rng.UniformInt(23);
-  const int64_t n = 1 + rng.UniformInt(19);
+  const int64_t m = 1 + rng.UniformInt(13);
+  const int64_t k = 1 + rng.UniformInt(70);
+  const int64_t n = 1 + rng.UniformInt(40);
   // Random leading dimensions ≥ the row width simulate row-strided views
   // (slices of a wider base matrix), the whole point of the strided API.
   const int64_t lda_nn = k + rng.UniformInt(5);
@@ -304,8 +307,13 @@ TEST_P(StridedGemmPropertyTest, MatchesNaiveReferenceAllVariants) {
   const int64_t lda_tn = m + rng.UniformInt(5);
   const int64_t ldc = n + rng.UniformInt(5);
 
-  const auto fill = [&rng](std::vector<float>* v) {
-    for (auto& x : *v) x = static_cast<float>(rng.Uniform(-1.0, 1.0));
+  const auto fill = [&rng](std::vector<float>* v, double zero_fraction,
+                           float zero) {
+    for (auto& x : *v) {
+      x = rng.Bernoulli(zero_fraction)
+              ? zero
+              : static_cast<float>(rng.Uniform(-1.0, 1.0));
+    }
   };
   // Buffers sized for the largest addressing each variant performs.
   std::vector<float> a_nn(static_cast<size_t>(m * lda_nn));
@@ -313,90 +321,102 @@ TEST_P(StridedGemmPropertyTest, MatchesNaiveReferenceAllVariants) {
   std::vector<float> b_nt(static_cast<size_t>(n * ldb_nt));
   std::vector<float> a_tn(static_cast<size_t>(k * lda_tn));
   std::vector<float> c_init(static_cast<size_t>(m * ldc));
-  fill(&a_nn);
-  fill(&b_nn);
-  fill(&b_nt);
-  fill(&a_tn);
-  fill(&c_init);  // GEMMs accumulate: C += ..., start from random C
+  fill(&a_nn, 0.2, 0.0f);
+  fill(&b_nn, 0.0, 0.0f);
+  fill(&b_nt, 0.0, 0.0f);
+  fill(&a_tn, 0.2, 0.0f);
+  // GEMMs accumulate: C += ..., start from random C. A -0 entry of C whose
+  // row of A is all zero stays -0 only if the zero terms are skipped.
+  fill(&c_init, 0.1, -0.0f);
+  for (int64_t i = 0; i < m; ++i) {
+    if (!rng.Bernoulli(0.2)) continue;
+    for (int64_t p = 0; p < k; ++p) {
+      a_nn[static_cast<size_t>(i * lda_nn + p)] = 0.0f;
+      a_tn[static_cast<size_t>(p * lda_tn + i)] = 0.0f;
+    }
+  }
 
+  using tensor::Backend;
   struct Variant {
     const char* name;
-    std::function<void(std::vector<float>*)> run;
-    std::function<double(int64_t, int64_t)> reference;  // (i, j) -> sum
+    std::function<void(std::vector<float>*, Backend)> run;
+    std::function<float(int64_t, int64_t)> a;  // (i, p) -> A[i, p]
+    std::function<float(int64_t, int64_t)> b;  // (p, j) -> B[p, j]
+    // GemmNT folds into a fresh accumulator added to C once; GemmNN/TN add
+    // each term with a nonzero A entry to C in place.
+    bool fresh_accumulator;
+  };
+  const auto at = [](const std::vector<float>& v, int64_t idx) {
+    return v[static_cast<size_t>(idx)];
   };
   const std::vector<Variant> variants = {
       {"GemmNN",
-       [&](std::vector<float>* c) {
+       [&](std::vector<float>* c, Backend) {
          tensor::internal::GemmNN(a_nn.data(), lda_nn, b_nn.data(), ldb_nn,
                                   c->data(), ldc, m, k, n);
        },
-       [&](int64_t i, int64_t j) {
-         double acc = 0;
-         for (int64_t p = 0; p < k; ++p) {
-           acc += static_cast<double>(a_nn[static_cast<size_t>(i * lda_nn + p)]) *
-                  b_nn[static_cast<size_t>(p * ldb_nn + j)];
-         }
-         return acc;
-       }},
+       [&](int64_t i, int64_t p) { return at(a_nn, i * lda_nn + p); },
+       [&](int64_t p, int64_t j) { return at(b_nn, p * ldb_nn + j); }, false},
       {"GemmNT",
-       [&](std::vector<float>* c) {
+       [&](std::vector<float>* c, Backend backend) {
          tensor::internal::GemmNT(a_nn.data(), lda_nn, b_nt.data(), ldb_nt,
-                                  c->data(), ldc, m, k, n);
+                                  c->data(), ldc, m, k, n, backend);
        },
-       [&](int64_t i, int64_t j) {
-         double acc = 0;
-         for (int64_t p = 0; p < k; ++p) {
-           acc += static_cast<double>(a_nn[static_cast<size_t>(i * lda_nn + p)]) *
-                  b_nt[static_cast<size_t>(j * ldb_nt + p)];
-         }
-         return acc;
-       }},
+       [&](int64_t i, int64_t p) { return at(a_nn, i * lda_nn + p); },
+       [&](int64_t p, int64_t j) { return at(b_nt, j * ldb_nt + p); }, true},
       {"GemmTN",
-       [&](std::vector<float>* c) {
+       [&](std::vector<float>* c, Backend backend) {
          tensor::internal::GemmTN(a_tn.data(), lda_tn, b_nn.data(), ldb_nn,
-                                  c->data(), ldc, m, k, n);
+                                  c->data(), ldc, m, k, n, backend);
        },
-       [&](int64_t i, int64_t j) {
-         double acc = 0;
-         for (int64_t p = 0; p < k; ++p) {
-           acc += static_cast<double>(a_tn[static_cast<size_t>(p * lda_tn + i)]) *
-                  b_nn[static_cast<size_t>(p * ldb_nn + j)];
-         }
-         return acc;
-       }},
+       [&](int64_t i, int64_t p) { return at(a_tn, p * lda_tn + i); },
+       [&](int64_t p, int64_t j) { return at(b_nn, p * ldb_nn + j); }, false},
   };
+  // Forced explicitly, like qgemm::Gemm's backend argument; the AVX2 kernels
+  // run only where the host dispatches to them.
+  const std::vector<Backend> backends =
+      tensor::ActiveBackend() == Backend::kAvx2
+          ? std::vector<Backend>{Backend::kScalar, Backend::kAvx2}
+          : std::vector<Backend>{Backend::kScalar};
 
   for (const auto& variant : variants) {
     SCOPED_TRACE(variant.name);
-    std::vector<std::vector<float>> results;
-    ForEachThreadBudget([&](const char* budget) {
-      SCOPED_TRACE(budget);
-      std::vector<float> c = c_init;
-      variant.run(&c);
-      // Numeric correctness vs the double-precision scalar reference.
-      for (int64_t i = 0; i < m; ++i) {
-        for (int64_t j = 0; j < n; ++j) {
-          const double expected =
-              c_init[static_cast<size_t>(i * ldc + j)] +
-              variant.reference(i, j);
-          EXPECT_NEAR(c[static_cast<size_t>(i * ldc + j)], expected,
-                      1e-4 * (1.0 + std::fabs(expected)))
-              << "at (" << i << ", " << j << ")";
+    // The scalar kernel's float fold (each product its own statement, so
+    // no compiler contracts it into an FMA) and the double reference.
+    std::vector<float> exact = c_init;
+    std::vector<double> approx(c_init.begin(), c_init.end());
+    for (int64_t i = 0; i < m; ++i) {
+      for (int64_t j = 0; j < n; ++j) {
+        const size_t idx = static_cast<size_t>(i * ldc + j);
+        float acc = variant.fresh_accumulator ? 0.0f : c_init[idx];
+        for (int64_t p = 0; p < k; ++p) {
+          const float av = variant.a(i, p);
+          approx[idx] += static_cast<double>(av) * variant.b(p, j);
+          if (!variant.fresh_accumulator && av == 0.0f) continue;
+          const float product = av * variant.b(p, j);
+          acc += product;
         }
+        exact[idx] = variant.fresh_accumulator ? c_init[idx] + acc : acc;
       }
-      // Padding tails (columns [n, ldc)) must be untouched.
-      for (int64_t i = 0; i < m; ++i) {
-        for (int64_t j = n; j < ldc; ++j) {
-          EXPECT_EQ(c[static_cast<size_t>(i * ldc + j)],
-                    c_init[static_cast<size_t>(i * ldc + j)]);
+    }
+    for (const Backend backend : backends) {
+      SCOPED_TRACE(tensor::BackendName(backend));
+      ForEachThreadBudget([&](const char* budget) {
+        SCOPED_TRACE(budget);
+        std::vector<float> c = c_init;
+        variant.run(&c, backend);
+        // Padding tails (columns [n, ldc)) are untouched because the
+        // reference leaves them at c_init too.
+        testutil::ExpectFloatsBitwiseEqual(c, exact, "scalar-order fold");
+        for (int64_t i = 0; i < m; ++i) {
+          for (int64_t j = 0; j < n; ++j) {
+            const double expected = approx[static_cast<size_t>(i * ldc + j)];
+            EXPECT_NEAR(c[static_cast<size_t>(i * ldc + j)], expected,
+                        1e-4 * (1.0 + std::fabs(expected)))
+                << "at (" << i << ", " << j << ")";
+          }
         }
-      }
-      results.push_back(std::move(c));
-    });
-    // Bitwise identical across thread budgets.
-    for (size_t r = 1; r < results.size(); ++r) {
-      testutil::ExpectFloatsBitwiseEqual(results[0], results[r],
-                                         "thread-budget invariance");
+      });
     }
   }
 }

@@ -26,8 +26,9 @@ uint64_t HashString(const std::string& s, uint64_t h) {
 std::unique_ptr<TinyWorld> MakeTinyWorld(const TinyWorldOptions& options) {
   auto world = std::make_unique<TinyWorld>();
   world->net = std::make_unique<roadnet::RoadNetwork>(
-      roadnet::BuildSyntheticCity({.grid_width = options.grid_width,
-                                   .grid_height = options.grid_height}));
+      roadnet::BuildSyntheticCity(
+          {.grid_width = static_cast<int32_t>(options.grid_width),
+           .grid_height = static_cast<int32_t>(options.grid_height)}));
   world->traffic = std::make_unique<traj::TrafficModel>(
       world->net.get(), traj::TrafficModel::Config{});
 
