@@ -2,11 +2,13 @@
 // ops at transformer-pretraining shapes [B=64, T=128, D=256], against a
 // faithful reimplementation of the seed's scalar div/mod broadcast loop,
 // per-head attention BMMs over strided slices against a scalar loop over
-// copied slices, and the Linear-backward GemmNT/GemmTN against their scalar
-// backend. Each kernel is also timed at thread budgets 1, 2 and 4
+// copied slices, the Linear-backward GemmNT/GemmTN against their scalar
+// backend, and the int8 qgemm::AffineForward against its scalar backend.
+// Each other kernel is also timed at thread budgets 1, 2 and 4
 // (common::ScopedThreadBudget); the run fails if a row is slower at budget 4
-// than at budget 1. Emits BENCH_tensor.json so CI tracks the kernel
-// perf trajectory.
+// than at budget 1. The int8 rows run at budget 1 only: they are one chunk at
+// every budget. Emits BENCH_tensor.json so CI tracks the kernel perf
+// trajectory.
 //
 // Build & run:
 //   cmake -B build -S . && cmake --build build -j --target bench_tensor_kernels
@@ -15,6 +17,7 @@
 #include <array>
 #include <cstdio>
 #include <cstdlib>
+#include <cstring>
 #include <string>
 #include <utility>
 #include <vector>
@@ -25,6 +28,7 @@
 #include "tensor/backend.h"
 #include "tensor/kernels.h"
 #include "tensor/ops.h"
+#include "tensor/qgemm.h"
 #include "tensor/tensor.h"
 
 namespace {
@@ -273,6 +277,44 @@ BenchResult BenchGemm(const char* name, bool nt, int iters) {
   return r;
 }
 
+/// The int8 serving path nn::Linear runs: AffineForward of [m, 64] against
+/// packed [64, 64] weights. The reference is the scalar backend; both run at
+/// budget 1, since the grain rule keeps the whole call one chunk at these
+/// sizes (a budget sweep would time identical work). Both backends must
+/// agree bitwise.
+BenchResult BenchQGemmAffine(const char* name, int64_t m, int iters) {
+  namespace qg = start::tensor::qgemm;
+  constexpr int64_t kDim = 64;
+  Rng rng(13);
+  const Tensor x = Tensor::Rand(Shape({m, kDim}), &rng, -1, 1);
+  const Tensor w = Tensor::Rand(Shape({kDim, kDim}), &rng, -1, 1);
+  const Tensor bias = Tensor::Rand(Shape({kDim}), &rng, -1, 1);
+  const qg::PackedMatrix packed =
+      qg::QuantizeAndPack(w.data(), kDim, kDim, kDim);
+  std::vector<float> y(static_cast<size_t>(m * kDim));
+  const auto affine = [&](qg::Backend backend) {
+    qg::AffineForward(x.data(), kDim, m, packed, bias.data(), y.data(), kDim,
+                      backend);
+  };
+  const qg::Backend active = qg::ActiveBackend();
+  affine(qg::Backend::kScalar);
+  const std::vector<float> want = y;
+  affine(active);
+  if (std::memcmp(want.data(), y.data(), y.size() * sizeof(float)) != 0) {
+    std::fprintf(stderr, "MISMATCH in %s: %s backend differs from scalar\n",
+                 name, qg::BackendName(active));
+    std::exit(1);
+  }
+  BenchResult r;
+  r.name = name;
+  ScopedThreadBudget serial(1);
+  r.scalar_ms = TimeMs(iters, [&] { affine(qg::Backend::kScalar); });
+  r.kernel_ms = TimeMs(iters, [&] { affine(active); });
+  r.budget_ms.emplace_back(1, r.kernel_ms);
+  r.speedup = r.scalar_ms / r.kernel_ms;
+  return r;
+}
+
 }  // namespace
 
 int main() {
@@ -290,6 +332,8 @@ int main() {
   results.push_back(BenchView("bmm_head_slices_B8_T128_D256", 9));
   results.push_back(BenchGemm("gemm_nt_linear_dx_640x64x64", true, 41));
   results.push_back(BenchGemm("gemm_tn_linear_dw_640x64x64", false, 41));
+  results.push_back(BenchQGemmAffine("qgemm_affine_180x64x64", 180, 201));
+  results.push_back(BenchQGemmAffine("qgemm_affine_640x64x64", 640, 101));
 
   std::FILE* json = std::fopen("BENCH_tensor.json", "w");
   if (json == nullptr) {

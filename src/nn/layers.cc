@@ -82,6 +82,7 @@ common::Status Linear::SetQuantizedWeights(tensor::qgemm::PackedMatrix packed) {
   if (packed.scales.size() != static_cast<size_t>(packed.rows) ||
       packed.data.size() !=
           static_cast<size_t>(packed.rows_padded * packed.cols_padded) ||
+      packed.offsets.size() != static_cast<size_t>(packed.rows_padded) ||
       packed.rows_padded < packed.rows || packed.cols_padded < packed.cols) {
     return common::Status::InvalidArgument(
         "inconsistent quantized weight buffers");

@@ -14,7 +14,7 @@ namespace start::nn {
 
 /// \brief Affine layer y = x W + b. Accepts 2-D [N,in] or 3-D [B,L,in] input.
 ///
-/// A Linear can additionally hold an int8 panel-packed copy of its weight
+/// A Linear can additionally hold an int8 packed copy of its weight
 /// (QuantizeInt8 / SetQuantizedWeights). The packed copy is used by Forward
 /// only under NoGradGuard (inference); training and any grad-enabled forward
 /// keep using the f32 weight bitwise unchanged.

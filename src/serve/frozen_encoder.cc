@@ -107,7 +107,7 @@ common::Status FrozenEncoder::SaveSnapshot(const std::string& path) {
     q.rows = p.rows;
     q.cols = p.cols;
     q.scales = p.scales;
-    // Disk holds canonical unpacked row-major codes — the panel layout is a
+    // Disk holds canonical unpacked row-major codes — the packed layout is a
     // kernel detail that may change without invalidating artifacts.
     q.data = tensor::qgemm::Unpack(p);
     bundle.qtensors.emplace(mpath, std::move(q));

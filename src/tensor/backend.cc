@@ -10,7 +10,10 @@ Backend ActiveBackend() {
 #if START_TENSOR_HAVE_AVX2
     const char* env = std::getenv("START_QGEMM_BACKEND");
     if (env == nullptr || std::strcmp(env, "scalar") != 0) {
-      if (__builtin_cpu_supports("avx2")) return Backend::kAvx2;
+      if (__builtin_cpu_supports("avx2")) {
+        return __builtin_cpu_supports("avxvnni") ? Backend::kAvxVnni
+                                                 : Backend::kAvx2;
+      }
     }
 #endif
     return Backend::kScalar;
@@ -19,7 +22,15 @@ Backend ActiveBackend() {
 }
 
 const char* BackendName(Backend backend) {
-  return backend == Backend::kAvx2 ? "avx2" : "scalar";
+  switch (backend) {
+    case Backend::kAvxVnni:
+      return "avx_vnni";
+    case Backend::kAvx2:
+      return "avx2";
+    case Backend::kScalar:
+      break;
+  }
+  return "scalar";
 }
 
 }  // namespace start::tensor

@@ -8,22 +8,26 @@
 /// bitwise identical to it, so the choice changes speed only.
 
 #if defined(__x86_64__) && (defined(__GNUC__) || defined(__clang__))
-/// The AVX2 kernels are compiled (function-level target attributes, no
-/// global -mavx2) and chosen at run time by ActiveBackend().
+/// The AVX2 and AVX-VNNI kernels are compiled (function-level target
+/// attributes, no global -mavx2) and chosen at run time by ActiveBackend().
 #define START_TENSOR_HAVE_AVX2 1
 #endif
 
 namespace start::tensor {
 
-/// Kernel backends. kScalar is the portable reference; kAvx2 the SIMD
-/// kernels.
-enum class Backend { kScalar, kAvx2 };
+/// Kernel backends, each a superset of the one before. kScalar is the
+/// portable reference; kAvx2 the SIMD kernels; kAvxVnni adds the VEX-encoded
+/// vpdpbusd to the int8 qgemm (every f32 kernel runs its AVX2 path on it).
+enum class Backend { kScalar, kAvx2, kAvxVnni };
 
-/// The backend the host dispatches to: kAvx2 when the CPU supports AVX2 and
-/// the environment variable START_QGEMM_BACKEND is not "scalar". Read once
-/// per process.
+/// The backend the host dispatches to: the most capable one the CPU supports
+/// (kAvxVnni needs AVX2 and AVX-VNNI), or kScalar when the environment
+/// variable START_QGEMM_BACKEND is "scalar". Read once per process.
 Backend ActiveBackend();
 const char* BackendName(Backend backend);
+
+/// Whether `backend` runs the hand-vectorised kernels.
+inline bool IsSimd(Backend backend) { return backend != Backend::kScalar; }
 
 }  // namespace start::tensor
 

@@ -295,7 +295,7 @@ void GemmNT(const float* a, int64_t lda, const float* b, int64_t ldb, float* c,
 #if START_TENSOR_HAVE_AVX2
   // Fewer than 4 rows (the exact index's one-query scan) stay scalar:
   // packing B would cost about what the tile saves.
-  if (backend == Backend::kAvx2 && m >= kNtTileRows) {
+  if (IsSimd(backend) && m >= kNtTileRows) {
     // Packed once per call into the caller's scratch; chunks on other
     // threads read it while the caller waits inside ParallelFor.
     thread_local std::vector<float> scratch;
@@ -329,7 +329,7 @@ void GemmTN(const float* a, int64_t lda, const float* b, int64_t ldb, float* c,
             int64_t ldc, int64_t m, int64_t k, int64_t n, Backend backend) {
   const auto rows = [&](int64_t lo, int64_t hi) {
 #if START_TENSOR_HAVE_AVX2
-    if (backend == Backend::kAvx2) {
+    if (IsSimd(backend)) {
       GemmTNRowsAvx2(a, lda, b, ldb, c, ldc, lo, hi, k, n);
       return;
     }

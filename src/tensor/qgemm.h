@@ -13,34 +13,39 @@
 ///  - Weights are stored output-channel-major ([N, K], i.e. the B^T layout of
 ///    GemmNT) and quantized per row with absmax scales: s_j = absmax_j / 127,
 ///    q = clamp(round_half_even(x / s_j), -127, 127). A zero row gets s = 0
-///    and all-zero codes, so dequantization is exact there too.
+///    and all-zero codes, so dequantization is exact there too. A row whose
+///    absmax is so small that 127 / absmax overflows (below ~3.7e-37) is
+///    quantized as round((x / absmax) * 127) instead, so it keeps its signs.
 ///  - Activations are quantized dynamically per batch row with the same
 ///    per-row absmax scheme.
 ///  - The dot products accumulate in exact i32 arithmetic and dequantize once
-///    per output element: C[i,j] += float(acc) * (sa_i * sb_j). Because the
-///    integer part is exact and the float epilogue is shared between
-///    backends, results are bitwise identical across the scalar reference,
-///    the AVX2 microkernel, and any common::ParallelFor thread budget (rows
-///    are independent and chunked at fixed boundaries).
+///    per output element: C[i,j] += float(acc) * (sa_i * sb_j), with no FMA.
 ///
-/// Packing layout (cache-blocked panels): rows are grouped into panels of
-/// kRowsPerPanel output channels; within a panel the K dimension is split
-/// into blocks of kColBlock bytes, stored as [k-block][row-in-panel], so the
-/// microkernel streams one contiguous cache line per (row, k-block) step.
-/// Both K and N are zero-padded to multiples of the block sizes; padding
-/// contributes exact zeros to every dot product.
+/// Packing layout (channel-in-lane): output channels are grouped in blocks
+/// of kRowsPerPanel = 16; within a block each K step holds kColBlock = 4
+/// consecutive k bytes of every channel, i.e. [N/16][K/4][16][4]. One 32-byte
+/// load is then 4 k bytes of 8 channels, so each i32 lane of a vpdpbusd (or
+/// maddubs + madd) accumulates one output channel directly, and a 4-row x
+/// 16-channel register tile needs no horizontal sums. N is zero-padded to a
+/// multiple of 16 and K to a multiple of 4; padding contributes exact zeros.
 ///
-/// i32 accumulation is exact while K * 127 * 127 < 2^31, i.e. K <= ~133k —
-/// far above any model width here; Pack CHECK-enforces the bound.
+/// Exactness: every backend computes the same integer per output element
+/// (the AVX-VNNI kernel's u8 offset is removed exactly, see PackedMatrix::
+/// offsets) and then the same float epilogue ops in the same order, so
+/// results are bitwise identical across the scalar reference, the AVX2 and
+/// AVX-VNNI kernels, and any common::ParallelFor thread budget (rows are
+/// independent). i32 accumulation is exact while K * 127 * 127 < 2^31, i.e.
+/// K <= ~133k — far above any model width here; Pack CHECK-enforces it.
 
 namespace start::tensor::qgemm {
 
-/// Output channels interleaved per packed panel.
-inline constexpr int64_t kRowsPerPanel = 4;
-/// K-dimension block (bytes per row per step) — one AVX2 register of int8.
-inline constexpr int64_t kColBlock = 32;
+/// Output channels per packed block: two 8-lane i32 halves of a tile.
+inline constexpr int64_t kRowsPerPanel = 16;
+/// Consecutive k bytes each channel holds per K step — one i32 lane.
+inline constexpr int64_t kColBlock = 4;
 
-/// A quantized, panel-packed weight matrix (logical [rows, cols] = [N, K]).
+/// A quantized, channel-in-lane packed weight matrix (logical [rows, cols] =
+/// [N, K]).
 struct PackedMatrix {
   int64_t rows = 0;         ///< N: output channels.
   int64_t cols = 0;         ///< K: reduction depth.
@@ -48,11 +53,16 @@ struct PackedMatrix {
   int64_t cols_padded = 0;  ///< cols rounded up to kColBlock.
   std::vector<int8_t> data;   ///< rows_padded * cols_padded packed bytes.
   std::vector<float> scales;  ///< [rows] per-row dequant scales.
+  /// [rows_padded] 128 * sum_k q[j, k]: vpdpbusd multiplies u8 by s8, so the
+  /// AVX-VNNI kernel feeds activation codes as q + 128 and subtracts this.
+  /// Wrapping i32 arithmetic makes the correction exact.
+  std::vector<int32_t> offsets;
 };
 
-/// The tensor-level dispatch (tensor/backend.h), under qgemm's names. kAvx2
-/// is the SIMD microkernel (maddubs + sign-transfer, 32 int8 products per
-/// instruction); both backends produce bitwise identical output.
+/// The tensor-level dispatch (tensor/backend.h), under qgemm's names.
+/// kAvxVnni runs one vpdpbusd per (row, 8 channels, 4 k); kAvx2 runs
+/// maddubs + madd with sign transfer on the same layout. Every backend
+/// produces bitwise identical output.
 using tensor::ActiveBackend;
 using tensor::Backend;
 using tensor::BackendName;
@@ -60,12 +70,14 @@ using tensor::BackendName;
 /// \brief Per-row absmax int8 quantization of `rows` x `cols` floats read
 /// with leading dimension `ld` (so strided views / submatrices quantize
 /// without materialisation). Writes dense row-major [rows, cols] codes and
-/// one scale per row.
+/// one scale per row. Every backend gives bitwise identical codes and scales.
+void QuantizeRows(const float* src, int64_t ld, int64_t rows, int64_t cols,
+                  int8_t* dst, float* scales, Backend backend);
 void QuantizeRows(const float* src, int64_t ld, int64_t rows, int64_t cols,
                   int8_t* dst, float* scales);
 
 /// Packs dense row-major [rows, cols] int8 codes (+ per-row scales) into the
-/// panel layout above.
+/// channel-in-lane layout above and precomputes the offsets.
 PackedMatrix Pack(const int8_t* q, const float* scales, int64_t rows,
                   int64_t cols);
 
@@ -99,7 +111,11 @@ void Gemm(const int8_t* aq, const float* a_scales, int64_t m,
 /// \brief One-call affine epilogue for nn::Linear's frozen int8 path:
 /// y[m, b.rows] (ldy) = dequant(quantize(x) · Bq^T) + bias, overwriting y
 /// (bias may be null = zero). Uses thread-local scratch for the quantized
-/// activations, so steady-state serving allocates nothing.
+/// activations, so steady-state serving allocates nothing. Bitwise invariant
+/// in thread count and backend.
+void AffineForward(const float* x, int64_t ldx, int64_t m,
+                   const PackedMatrix& b, const float* bias, float* y,
+                   int64_t ldy, Backend backend);
 void AffineForward(const float* x, int64_t ldx, int64_t m,
                    const PackedMatrix& b, const float* bias, float* y,
                    int64_t ldy);

@@ -24,6 +24,19 @@ namespace {
 
 using testutil::ForEachThreadBudget;
 
+/// Every kernel backend this host can run: the scalar reference, then each
+/// SIMD backend up to the one it dispatches to (each implies the previous).
+std::vector<tensor::Backend> HostBackends() {
+  using tensor::Backend;
+  std::vector<Backend> backends = {Backend::kScalar};
+  for (const Backend b : {Backend::kAvx2, Backend::kAvxVnni}) {
+    if (static_cast<int>(b) <= static_cast<int>(tensor::ActiveBackend())) {
+      backends.push_back(b);
+    }
+  }
+  return backends;
+}
+
 // ---------------------------------------------------------------------------
 // Augmentation invariants over random seeds (Sec. III-C2).
 // ---------------------------------------------------------------------------
@@ -372,12 +385,9 @@ TEST_P(StridedGemmPropertyTest, MatchesNaiveReferenceAllVariants) {
        [&](int64_t i, int64_t p) { return at(a_tn, p * lda_tn + i); },
        [&](int64_t p, int64_t j) { return at(b_nn, p * ldb_nn + j); }, false},
   };
-  // Forced explicitly, like qgemm::Gemm's backend argument; the AVX2 kernels
+  // Forced explicitly, like qgemm::Gemm's backend argument; the SIMD kernels
   // run only where the host dispatches to them.
-  const std::vector<Backend> backends =
-      tensor::ActiveBackend() == Backend::kAvx2
-          ? std::vector<Backend>{Backend::kScalar, Backend::kAvx2}
-          : std::vector<Backend>{Backend::kScalar};
+  const std::vector<Backend> backends = HostBackends();
 
   for (const auto& variant : variants) {
     SCOPED_TRACE(variant.name);
@@ -555,7 +565,9 @@ namespace qg = tensor::qgemm;
 ///  - Gemm output within the analytic per-row-scale error bound of a
 ///    double-precision GEMM over the original floats;
 ///  - C padding tail (columns [n, ldc)) untouched;
-///  - bitwise invariance across thread budgets and across backends.
+///  - bitwise invariance across thread budgets and across backends, for
+///    both Gemm and AffineForward (whose bias-initialised output must equal
+///    bias + the same reference).
 void CheckQGemmInstance(common::Rng* rng, int64_t m, int64_t k, int64_t n,
                         int64_t lda, int64_t ldc) {
   SCOPED_TRACE("m=" + std::to_string(m) + " k=" + std::to_string(k) +
@@ -609,45 +621,54 @@ void CheckQGemmInstance(common::Rng* rng, int64_t m, int64_t k, int64_t n,
   }
 
   // Exact expected output: integer dot in i64 (overflow-checked), then the
-  // kernel's own float epilogue ops in the kernel's order.
-  std::vector<float> expected = c_init;
-  for (int64_t i = 0; i < m; ++i) {
-    for (int64_t j = 0; j < n; ++j) {
-      int64_t acc = 0;
-      for (int64_t p = 0; p < k; ++p) {
-        acc += static_cast<int64_t>(
-                   aq[static_cast<size_t>(i * packed.cols_padded + p)]) *
-               wq[static_cast<size_t>(j * k + p)];
+  // kernel's own float epilogue ops in the kernel's order, onto `out`.
+  const auto reference = [&](std::vector<float> out) {
+    for (int64_t i = 0; i < m; ++i) {
+      for (int64_t j = 0; j < n; ++j) {
+        int64_t acc = 0;
+        for (int64_t p = 0; p < k; ++p) {
+          acc += static_cast<int64_t>(
+                     aq[static_cast<size_t>(i * packed.cols_padded + p)]) *
+                 wq[static_cast<size_t>(j * k + p)];
+        }
+        EXPECT_EQ(acc, static_cast<int32_t>(acc)) << "i32 accumulator overflow";
+        out[static_cast<size_t>(i * ldc + j)] +=
+            static_cast<float>(static_cast<int32_t>(acc)) *
+            (ascales[static_cast<size_t>(i)] *
+             wscales[static_cast<size_t>(j)]);
       }
-      ASSERT_EQ(acc, static_cast<int32_t>(acc)) << "i32 accumulator overflow";
-      expected[static_cast<size_t>(i * ldc + j)] +=
-          static_cast<float>(static_cast<int32_t>(acc)) *
-          (ascales[static_cast<size_t>(i)] * wscales[static_cast<size_t>(j)]);
     }
+    return out;
+  };
+  const std::vector<float> expected = reference(c_init);
+  // AffineForward overwrites columns [0, n) with bias + the same reference
+  // and leaves [n, ldc) alone.
+  std::vector<float> bias(static_cast<size_t>(n));
+  for (auto& x : bias) x = static_cast<float>(rng->Uniform(-1.0, 1.0));
+  std::vector<float> bias_init = c_init;
+  for (int64_t i = 0; i < m; ++i) {
+    std::copy(bias.begin(), bias.end(),
+              bias_init.begin() + static_cast<size_t>(i * ldc));
   }
+  const std::vector<float> affine_expected = reference(bias_init);
 
-  const std::vector<qg::Backend> backends =
-      qg::ActiveBackend() == qg::Backend::kAvx2
-          ? std::vector<qg::Backend>{qg::Backend::kScalar, qg::Backend::kAvx2}
-          : std::vector<qg::Backend>{qg::Backend::kScalar};
   std::vector<std::vector<float>> results;
-  for (const qg::Backend backend : backends) {
+  for (const qg::Backend backend : HostBackends()) {
     SCOPED_TRACE(qg::BackendName(backend));
     ForEachThreadBudget([&](const char* budget) {
       SCOPED_TRACE(budget);
       std::vector<float> c = c_init;
       qg::Gemm(aq.data(), ascales.data(), m, packed, c.data(), ldc, backend);
+      testutil::ExpectFloatsBitwiseEqual(c, expected,
+                                         "Gemm vs exact integer reference");
       results.push_back(std::move(c));
+      std::vector<float> y = c_init;
+      qg::AffineForward(a.data(), lda, m, packed, bias.data(), y.data(), ldc,
+                        backend);
+      testutil::ExpectFloatsBitwiseEqual(
+          y, affine_expected, "AffineForward vs exact integer reference");
     });
   }
-  // Backend- and thread-budget-invariance, bitwise, and exactness vs the
-  // integer reference.
-  for (size_t r = 0; r < results.size(); ++r) {
-    testutil::ExpectFloatsBitwiseEqual(results[0], results[r],
-                                       "backend/thread-budget invariance");
-  }
-  testutil::ExpectFloatsBitwiseEqual(results[0], expected,
-                                     "exact integer reference");
 
   // Padding tail untouched.
   for (int64_t i = 0; i < m; ++i) {
@@ -688,9 +709,11 @@ class QGemmPropertyTest : public ::testing::TestWithParam<int> {};
 
 TEST_P(QGemmPropertyTest, RandomShapesAgainstReferences) {
   common::Rng rng(testutil::TestSeed(GetParam()));
-  const int64_t m = 1 + rng.UniformInt(16);
-  const int64_t k = 1 + rng.UniformInt(70);  // crosses the 32/64 block edges
-  const int64_t n = 1 + rng.UniformInt(20);
+  // Crosses the 4-row tile, the 16-channel block with its 8-lane halves, the
+  // 4-byte k steps, and the quantizer's 8-lane tails.
+  const int64_t m = 1 + rng.UniformInt(13);
+  const int64_t k = 1 + rng.UniformInt(70);
+  const int64_t n = 1 + rng.UniformInt(40);
   const int64_t lda = k + rng.UniformInt(5);
   const int64_t ldc = n + rng.UniformInt(5);
   CheckQGemmInstance(&rng, m, k, n, lda, ldc);
@@ -700,9 +723,11 @@ INSTANTIATE_TEST_SUITE_P(Seeds, QGemmPropertyTest, ::testing::Range(0, 10));
 
 TEST(QGemmEdgeShapeTest, BlockBoundariesAndDegenerateShapes) {
   common::Rng rng(testutil::TestSeed());
+  // (m, k, n) on either side of the 4-row tile, the 4-byte k step and the
+  // 16-channel block with its 8-lane halves.
   const int64_t shapes[][3] = {
-      {1, 1, 1},  {1, 31, 1}, {2, 32, 4},
-      {3, 33, 5}, {4, 64, 8}, {5, 7, 9},
+      {1, 1, 1},  {1, 3, 8},   {2, 4, 16},  {3, 5, 17},
+      {4, 64, 8}, {5, 7, 9},   {8, 33, 32}, {13, 70, 40},
   };
   for (const auto& s : shapes) {
     CheckQGemmInstance(&rng, s[0], s[1], s[2], /*lda=*/s[1], /*ldc=*/s[2]);
@@ -720,6 +745,78 @@ TEST(QGemmQuantizeTest, RoundHalfEvenAndSaturation) {
   EXPECT_EQ(scale, 1.0f);
   const std::vector<int8_t> want = {127, 0, 2, 2, 0, -2, 126, -2, 0, -127};
   EXPECT_EQ(q, want);
+}
+
+TEST(QGemmQuantizeTest, TinyAbsmaxKeepsSignsOnEveryBackend) {
+  // Below absmax ~3.7e-37, 127 / absmax overflows to inf; such rows must
+  // still map zero to 0 and keep every sign, on every backend alike.
+  for (const float absmax : {1e-30f, 3e-37f, 1e-38f, 1e-40f /*subnormal*/}) {
+    SCOPED_TRACE("absmax=" + std::to_string(absmax));
+    const std::vector<float> row = {absmax, 0.0f,  -absmax,
+                                    absmax / 2, -0.0f, -absmax / 3};
+    const int64_t cols = static_cast<int64_t>(row.size());
+    std::vector<int8_t> want(row.size());
+    float want_scale = 0;
+    qg::QuantizeRows(row.data(), cols, 1, cols, want.data(), &want_scale,
+                     qg::Backend::kScalar);
+    EXPECT_EQ(want[0], 127);
+    EXPECT_EQ(want[1], 0);
+    EXPECT_EQ(want[2], -127);
+    EXPECT_GT(want[3], 0);
+    EXPECT_EQ(want[4], 0);
+    EXPECT_LT(want[5], 0);
+    EXPECT_GE(want_scale, 0.0f);
+    for (const qg::Backend backend : HostBackends()) {
+      SCOPED_TRACE(qg::BackendName(backend));
+      std::vector<int8_t> q(row.size());
+      float scale = 0;
+      qg::QuantizeRows(row.data(), cols, 1, cols, q.data(), &scale, backend);
+      EXPECT_EQ(q, want);
+      testutil::ExpectFloatsBitwiseEqual({scale}, {want_scale}, "scale");
+    }
+  }
+}
+
+TEST(QGemmQuantizeTest, SimdMatchesScalarBitwise) {
+  // Every row length 1..70 crosses the 8-lane body and its scalar tail.
+  // Kinds: 0 random, 1 exact .5 ties (absmax 127, so the scale is 1),
+  // 2 all zeros (some -0.0), 3 subnormal values (the overflowing-inverse
+  // path); kinds 0 and 1 also hold scattered -0.0.
+  common::Rng rng(testutil::TestSeed());
+  for (int64_t cols = 1; cols <= 70; ++cols) {
+    for (int kind = 0; kind < 4; ++kind) {
+      SCOPED_TRACE("cols=" + std::to_string(cols) +
+                   " kind=" + std::to_string(kind));
+      std::vector<float> row(static_cast<size_t>(cols));
+      for (auto& x : row) {
+        switch (kind) {
+          case 0: x = static_cast<float>(rng.Uniform(-3.0, 3.0)); break;
+          case 1: x = static_cast<float>(rng.UniformInt(-127, 126)) + 0.5f;
+                  break;
+          case 2: x = 0.0f; break;
+          default: x = static_cast<float>(rng.Uniform(-1.0, 1.0)) * 1e-39f;
+        }
+        if (kind != 3 && rng.Bernoulli(0.1)) x = -0.0f;
+      }
+      if (kind == 1) {
+        row[static_cast<size_t>(rng.UniformInt(cols))] =
+            rng.Bernoulli(0.5) ? 127.0f : -127.0f;
+      }
+      std::vector<int8_t> want(row.size());
+      float want_scale = 0;
+      qg::QuantizeRows(row.data(), cols, 1, cols, want.data(), &want_scale,
+                       qg::Backend::kScalar);
+      if (kind == 1) EXPECT_EQ(want_scale, 1.0f);
+      for (const qg::Backend backend : HostBackends()) {
+        SCOPED_TRACE(qg::BackendName(backend));
+        std::vector<int8_t> q(row.size(), 99);
+        float scale = -1;
+        qg::QuantizeRows(row.data(), cols, 1, cols, q.data(), &scale, backend);
+        EXPECT_EQ(q, want);
+        testutil::ExpectFloatsBitwiseEqual({scale}, {want_scale}, "scale");
+      }
+    }
+  }
 }
 
 TEST(QGemmAffineForwardTest, MatchesGemmPlusBias) {
