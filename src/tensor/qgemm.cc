@@ -232,6 +232,18 @@ __attribute__((target("avx2"))) void TileAvx2(const int8_t* a,
   }
 }
 
+void TileDotAvx2(const int8_t* a, int64_t rows, const int8_t* block,
+                 const int32_t* /*offsets*/, int64_t cols_padded,
+                 int32_t* acc) {
+  switch (rows) {
+    case 4: return TileAvx2<4>(a, block, cols_padded, acc);
+    case 3: return TileAvx2<3>(a, block, cols_padded, acc);
+    case 2: return TileAvx2<2>(a, block, cols_padded, acc);
+    default: return TileAvx2<1>(a, block, cols_padded, acc);
+  }
+}
+
+#if START_TENSOR_HAVE_AVXVNNI
 /// AVX-VNNI tile of R rows x 16 channels: one vpdpbusd per (row, 8
 /// channels, 4 k). Its u8 operand is the activation code + 128 (an xor of
 /// the sign bit), so each lane sums (q + 128) * b; subtracting the packed
@@ -267,17 +279,6 @@ __attribute__((target("avx2,avxvnni"))) void TileAvxVnni(
   }
 }
 
-void TileDotAvx2(const int8_t* a, int64_t rows, const int8_t* block,
-                 const int32_t* /*offsets*/, int64_t cols_padded,
-                 int32_t* acc) {
-  switch (rows) {
-    case 4: return TileAvx2<4>(a, block, cols_padded, acc);
-    case 3: return TileAvx2<3>(a, block, cols_padded, acc);
-    case 2: return TileAvx2<2>(a, block, cols_padded, acc);
-    default: return TileAvx2<1>(a, block, cols_padded, acc);
-  }
-}
-
 void TileDotAvxVnni(const int8_t* a, int64_t rows, const int8_t* block,
                     const int32_t* offsets, int64_t cols_padded,
                     int32_t* acc) {
@@ -288,6 +289,7 @@ void TileDotAvxVnni(const int8_t* a, int64_t rows, const int8_t* block,
     default: return TileAvxVnni<1>(a, block, offsets, cols_padded, acc);
   }
 }
+#endif  // START_TENSOR_HAVE_AVXVNNI
 #endif  // START_TENSOR_HAVE_AVX2
 
 /// One backend's kernels: the row quantizer, the integer tile and the
@@ -302,12 +304,13 @@ struct Kernels {
 
 Kernels KernelsFor(Backend backend) {
 #if START_TENSOR_HAVE_AVX2
+#if START_TENSOR_HAVE_AVXVNNI
   if (backend == Backend::kAvxVnni) {
     return {QuantizeRowAvx2, TileDotAvxVnni, DequantAvx2};
   }
-  if (backend == Backend::kAvx2) {
-    return {QuantizeRowAvx2, TileDotAvx2, DequantAvx2};
-  }
+#endif
+  // kAvxVnni lands here too when the compiler lacks AVX-VNNI.
+  if (IsSimd(backend)) return {QuantizeRowAvx2, TileDotAvx2, DequantAvx2};
 #else
   (void)backend;
 #endif

@@ -61,8 +61,9 @@ struct PackedMatrix {
 
 /// The tensor-level dispatch (tensor/backend.h), under qgemm's names.
 /// kAvxVnni runs one vpdpbusd per (row, 8 channels, 4 k); kAvx2 runs
-/// maddubs + madd with sign transfer on the same layout. Every backend
-/// produces bitwise identical output.
+/// maddubs + madd with sign transfer on the same layout (so does kAvxVnni in
+/// a build without START_TENSOR_HAVE_AVXVNNI). Every backend produces bitwise
+/// identical output.
 using tensor::ActiveBackend;
 using tensor::Backend;
 using tensor::BackendName;
